@@ -137,6 +137,24 @@ const lsn::lsn_topology& bench_walker_grid()
 
 constexpr double sweep_step_s = 3600.0; // hourly steps over one day
 
+/// A sweep paying all of its shared work per call: snapshot builder, time
+/// grid, propagation pass and failure timeline, then the engine's
+/// `_timeline` entry point `sweep(builder, offsets, positions, timeline)`.
+template <class Sweep>
+auto one_shot_sweep(const lsn::lsn_topology& topo,
+                    const std::vector<lsn::ground_station>& stations,
+                    const lsn::failure_scenario& scenario,
+                    const lsn::scenario_sweep_options& grid, Sweep&& sweep)
+{
+    const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                        grid.min_elevation_rad, grid.max_isl_range_m);
+    const auto offsets = lsn::sweep_offsets(grid.duration_s, grid.step_s);
+    const auto positions = builder.positions_at_offsets(offsets);
+    return sweep(builder, offsets, positions,
+                 lsn::sample_failure_timeline(topo, scenario, offsets,
+                                              builder.epoch()));
+}
+
 void bm_scenario_sweep(benchmark::State& state)
 {
     // 12-station all-pairs day sweep on the 40x40 grid through the batched
@@ -148,7 +166,9 @@ void bm_scenario_sweep(benchmark::State& state)
     opts.step_s = sweep_step_s;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            lsn::run_scenario_sweep(topo, stations, astro::instant::j2000(), {}, opts));
+            one_shot_sweep(topo, stations, {}, opts, [](const auto&... args) {
+                return lsn::run_scenario_sweep_timeline(args...);
+            }));
     }
 }
 BENCHMARK(bm_scenario_sweep)->Unit(benchmark::kMillisecond);
@@ -278,8 +298,8 @@ bulk_bench_inputs& bench_bulk_inputs()
         // see the note on bm_bulk_route_per_step_floor.
         for (int g = 0; g < 12; ++g)
             in.requests.push_back({g, (g + 6) % 12, 2.0e5, 0.0, 86400.0});
-        in.graph = tempo::build_time_expanded_graph(in.snapshots, in.offsets, {},
-                                                    in.options);
+        in.graph = tempo::build_time_expanded_graph_timeline(in.snapshots, in.offsets,
+                                                             {}, in.options);
         return in;
     }();
     return inputs;
@@ -428,25 +448,28 @@ BENCHMARK(bm_instrumented_campaign)->Unit(benchmark::kMillisecond);
 
 void bm_campaign_separate_baseline(benchmark::State& state)
 {
-    // The pre-campaign route to the same 12 cells: the three one-shot
-    // engine entry points run back-to-back per scenario, each rebuilding
-    // its own builder, propagation pass and failure mask.
+    // The pre-campaign route to the same 12 cells: the three engines run
+    // back-to-back per scenario through `one_shot_sweep`, each rebuilding
+    // its own builder, propagation pass and failure timeline.
     const auto& in = bench_campaign_inputs();
     for (auto _ : state) {
         double sink = 0.0;
         for (const auto& spec : in.plan.scenarios) {
-            sink += lsn::run_scenario_sweep(in.topo, in.stations,
-                                            astro::instant::j2000(), spec.scenario,
-                                            in.grid)
-                        .metrics.pair_reachable_fraction;
-            sink += traffic::run_traffic_sweep(in.topo, in.stations,
-                                               astro::instant::j2000(), spec.scenario,
-                                               bench_demand(), in.grid, in.traffic_opts)
-                        .metrics.delivered_gbps_mean;
-            sink += tempo::run_bulk_sweep(in.topo, in.stations, astro::instant::j2000(),
-                                          spec.scenario, in.requests, in.grid,
-                                          in.bulk_opts)
-                        .routing.delivered_gb;
+            const auto one_shot = [&](auto&& sweep) {
+                return one_shot_sweep(in.topo, in.stations, spec.scenario, in.grid,
+                                      sweep);
+            };
+            sink += one_shot([](const auto&... args) {
+                        return lsn::run_scenario_sweep_timeline(args...);
+                    }).metrics.pair_reachable_fraction;
+            sink += one_shot([&](const auto&... args) {
+                        return traffic::run_traffic_sweep_timeline(
+                            args..., bench_demand(), in.traffic_opts);
+                    }).metrics.delivered_gbps_mean;
+            sink += one_shot([&](const auto&... args) {
+                        return tempo::run_bulk_sweep_timeline(args..., in.requests,
+                                                              in.bulk_opts);
+                    }).routing.delivered_gb;
         }
         benchmark::DoNotOptimize(sink);
     }

@@ -3,12 +3,15 @@
 // A `metric_engine` judges one failure scenario against the shared
 // `evaluation_context` and reports a fixed set of named scalar columns plus
 // its full engine-typed result (for callers that need matrices, per-step
-// traces or per-request slots rather than the scalar table). The three
-// existing sweep engines — survivability (`lsn::run_scenario_sweep`),
-// delivered traffic (`traffic::run_traffic_sweep`) and delay-tolerant bulk
-// delivery (`tempo::run_bulk_sweep`) — are adapted onto this interface by
-// reusing their mask-taking internals, so a campaign cell is bit-identical
-// to the legacy entry point it replaces.
+// traces or per-request slots rather than the scalar table). Each engine
+// adapts the one `_timeline` entry point of its sweep — survivability
+// (`lsn::run_scenario_sweep_timeline`), delivered traffic
+// (`traffic::run_traffic_sweep_timeline`), delay-tolerant bulk delivery
+// (`tempo::run_bulk_sweep_timeline`), structural robustness
+// (`spectral::run_percolation_sweep_timeline`) and user-level serving
+// (`serve::run_serving_sweep_timeline`) — so a campaign cell is
+// bit-identical to a direct call of that entry point on the cell's
+// timeline.
 #ifndef SSPLANE_EXP_METRIC_ENGINE_H
 #define SSPLANE_EXP_METRIC_ENGINE_H
 

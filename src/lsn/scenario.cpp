@@ -11,7 +11,6 @@
 #include "obs/trace.h"
 #include "radiation/solar_cycle.h"
 #include "util/expects.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -567,9 +566,11 @@ double giant_component_fraction(const network_snapshot& snapshot,
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(step_s > 0.0, "sweep step must be positive");
+    // Offset i is i * step_s, not a running sum: accumulating the step
+    // drifts on grids like 0.1 s and can add a spurious final offset.
     std::vector<double> offsets;
-    for (double t_off = 0.0; t_off < duration_s; t_off += step_s)
-        offsets.push_back(t_off);
+    for (std::size_t i = 0; static_cast<double>(i) * step_s < duration_s; ++i)
+        offsets.push_back(static_cast<double>(i) * step_s);
     return offsets;
 }
 
@@ -587,43 +588,17 @@ network_snapshot snapshot_at(const lsn_topology& topology,
         .snapshot(t.seconds_since(epoch));
 }
 
-scenario_sweep_result run_scenario_sweep(const lsn_topology& topology,
-                                         const std::vector<ground_station>& stations,
-                                         const astro::instant& epoch,
-                                         const failure_scenario& scenario,
-                                         const scenario_sweep_options& options)
+void check_sweep_inputs(const snapshot_builder& builder,
+                        std::span<const double> offsets_s,
+                        const std::vector<std::vector<vec3>>& positions,
+                        const failure_timeline& timeline)
 {
-    const snapshot_builder builder(topology, stations, epoch,
-                                   options.min_elevation_rad, options.max_isl_range_m);
-    const auto offsets = sweep_offsets(options.duration_s, options.step_s);
-    return run_scenario_sweep(builder, offsets, builder.positions_at_offsets(offsets),
-                              scenario);
-}
-
-scenario_sweep_result run_scenario_sweep(const snapshot_builder& builder,
-                                         std::span<const double> offsets_s,
-                                         const std::vector<std::vector<vec3>>& positions,
-                                         const failure_scenario& scenario)
-{
-    if (is_timeline_mode(scenario.mode))
-        return run_scenario_sweep_timeline(
-            builder, offsets_s, positions,
-            sample_failure_timeline(builder.topology(), scenario, offsets_s,
-                                    builder.epoch()));
-    return run_scenario_sweep_masked(builder, offsets_s, positions,
-                                     sample_failures(builder.topology(), scenario));
-}
-
-scenario_sweep_result run_scenario_sweep_masked(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_scenario_sweep_timeline(builder, offsets_s, positions,
-                                       failure_timeline::from_static_mask(failed));
+    expects(positions.size() == offsets_s.size(),
+            "positions must cover every sweep offset");
+    validate(timeline);
+    expects(timeline.n_steps == 0 ||
+                timeline.n_satellites == builder.n_satellites(),
+            "timeline satellite count mismatch");
 }
 
 scenario_sweep_result run_scenario_sweep_timeline(
@@ -634,46 +609,32 @@ scenario_sweep_result run_scenario_sweep_timeline(
     OBS_SPAN("lsn.scenario_sweep");
     OBS_COUNT("lsn.sweep.runs");
     OBS_COUNT_N("lsn.sweep.steps", offsets_s.size());
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
 
     const int n_steps = static_cast<int>(offsets_s.size());
     const int n_ground = builder.n_ground();
     const int n_pairs = n_ground * (n_ground - 1) / 2;
 
-    // Per-step result slots: each step writes only its own entry, so chunking
-    // never affects the outcome and the serial reduction below is
-    // bit-identical for any thread count.
     struct step_result {
         int n_failed = 0;
         double giant_fraction = 0.0;
         std::vector<double> pair_latency_s; ///< inf = unreachable.
     };
-    std::vector<step_result> per_step(static_cast<std::size_t>(n_steps));
-    parallel_for(static_cast<std::size_t>(n_steps),
-                 [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                         auto& slot = per_step[i];
-                         const auto failed = timeline.step(static_cast<int>(i));
-                         const auto snap =
-                             builder.snapshot_from_positions(positions[i], failed);
-                         slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
-                         slot.giant_fraction = giant_component_fraction(snap, failed);
-                         slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs),
-                                                    inf);
-                         for (int a = 0; a + 1 < n_ground; ++a) {
-                             const auto dist =
-                                 single_source_latencies(snap, snap.ground_node(a));
-                             for (int b = a + 1; b < n_ground; ++b)
-                                 slot.pair_latency_s[pair_index(a, b, n_ground)] =
-                                     dist[static_cast<std::size_t>(snap.ground_node(b))];
-                         }
-                     }
-                 });
+    const auto per_step = sweep_steps(
+        builder, offsets_s, positions, timeline,
+        [&](std::size_t i, std::span<const std::uint8_t> failed) {
+            const auto snap = builder.snapshot_from_positions(positions[i], failed);
+            step_result slot;
+            slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
+            slot.giant_fraction = giant_component_fraction(snap, failed);
+            slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);
+            for (int a = 0; a + 1 < n_ground; ++a) {
+                const auto dist = single_source_latencies(snap, snap.ground_node(a));
+                for (int b = a + 1; b < n_ground; ++b)
+                    slot.pair_latency_s[pair_index(a, b, n_ground)] =
+                        dist[static_cast<std::size_t>(snap.ground_node(b))];
+            }
+            return slot;
+        });
 
     scenario_sweep_result result;
     result.n_stations = n_ground;

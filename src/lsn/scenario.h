@@ -10,23 +10,27 @@
 //   * `failure_scenario`/`sample_failures` inject satellite loss: uniform
 //     random loss, whole-plane attack, and radiation-driven Poisson failures
 //     wired to the `failures.h` annual-rate model via per-plane fluence;
-//   * `run_scenario_sweep` fans the per-step snapshot + routing work over
-//     the process thread pool (`util/parallel`) with per-step result slots,
-//     so any `SSPLANE_THREADS` value reproduces identical metrics, and
-//     reduces to robustness metrics: giant-component fraction, the all-pairs
-//     ground-station reachability/latency matrix, and pooled latency
-//     statistics comparable against an unfailed baseline.
+//   * `sweep_steps` is the one per-step loop every sweep engine shares:
+//     input checks, then a per-step kernel over the process thread pool
+//     (`util/parallel`) into per-step result slots, so any
+//     `SSPLANE_THREADS` value reproduces identical metrics;
+//   * `run_scenario_sweep_timeline` runs the snapshot + routing kernel on it
+//     and reduces to robustness metrics: giant-component fraction, the
+//     all-pairs ground-station reachability/latency matrix, and pooled
+//     latency statistics comparable against an unfailed baseline.
 #ifndef SSPLANE_LSN_SCENARIO_H
 #define SSPLANE_LSN_SCENARIO_H
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "astro/propagator.h"
 #include "lsn/failures.h"
 #include "lsn/timeline.h"
 #include "lsn/topology.h"
+#include "util/parallel.h"
 
 namespace ssplane::lsn {
 
@@ -231,37 +235,40 @@ struct scenario_sweep_result {
     }
 };
 
-/// Sweep one failure scenario over the time grid: inject failures, build
-/// every snapshot from one batched propagation pass, route all station
-/// pairs, and reduce. Bit-identical for any `SSPLANE_THREADS` value.
-scenario_sweep_result run_scenario_sweep(const lsn_topology& topology,
-                                         const std::vector<ground_station>& stations,
-                                         const astro::instant& epoch,
-                                         const failure_scenario& scenario,
-                                         const scenario_sweep_options& options = {});
+/// Reject sweep inputs that do not fit together, with a clear
+/// `contract_violation`: `positions` must hold one row per offset, the
+/// timeline must be well formed (`validate`) and, unless it has no rows,
+/// carry the builder's satellite count.
+void check_sweep_inputs(const snapshot_builder& builder,
+                        std::span<const double> offsets_s,
+                        const std::vector<std::vector<vec3>>& positions,
+                        const failure_timeline& timeline);
 
-/// Sweep over a prebuilt builder and its `positions_at_offsets(offsets_s)`
-/// output: callers evaluating many scenarios on one topology/time grid pay
-/// for propagator construction and the propagation pass once.
-scenario_sweep_result run_scenario_sweep(const snapshot_builder& builder,
-                                         std::span<const double> offsets_s,
-                                         const std::vector<std::vector<vec3>>& positions,
-                                         const failure_scenario& scenario);
+/// The per-step loop of every sweep engine. Runs `check_sweep_inputs`, then
+/// `kernel(i, timeline.step(i))` for every step `i` over the default
+/// `parallel_for` and returns the kernel results as per-step slots in step
+/// order. Each step writes only its own slot, so an engine's serial reduce
+/// over them is bit-identical for any `SSPLANE_THREADS` value.
+template <class Kernel>
+auto sweep_steps(const snapshot_builder& builder, std::span<const double> offsets_s,
+                 const std::vector<std::vector<vec3>>& positions,
+                 const failure_timeline& timeline, Kernel&& kernel)
+{
+    check_sweep_inputs(builder, offsets_s, positions, timeline);
+    using slot = std::invoke_result_t<Kernel&, std::size_t,
+                                      std::span<const std::uint8_t>>;
+    return parallel_map<slot>(offsets_s.size(), [&](std::size_t i) {
+        return kernel(i, timeline.step(static_cast<int>(i)));
+    });
+}
 
-/// Static-mask sweep path: the failure mask is supplied instead of drawn,
-/// so callers holding a mask cache (the campaign runner) evaluate many
-/// sweeps against one `sample_failures` draw. `failed` may be empty (no
-/// failures) or size n_satellites. Wraps the mask as a single-row timeline
-/// and delegates to `run_scenario_sweep_timeline` — byte-identical to the
-/// pre-timeline implementation.
-scenario_sweep_result run_scenario_sweep_masked(
-    const snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed);
-
-/// Innermost sweep path: each step `i` is evaluated under
-/// `timeline.step(i)`. All other overloads delegate here. Bit-identical
-/// for any `SSPLANE_THREADS` value.
+/// Sweep one failure timeline over the time grid of a prebuilt builder and
+/// its `positions_at_offsets(offsets_s)` output: each step `i` builds its
+/// snapshot under `timeline.step(i)`, routes all station pairs, and the
+/// steps reduce to the metrics above. A static mask is the one-row
+/// `failure_timeline::from_static_mask(mask)`; `sample_failure_timeline`
+/// draws either shape from a scenario. Bit-identical for any
+/// `SSPLANE_THREADS` value.
 scenario_sweep_result run_scenario_sweep_timeline(
     const snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

@@ -7,10 +7,12 @@
 // solar storms arrive mid-sweep, an adversary strikes on a schedule — so
 // the sweep engines need a *per-step* failure mask. `failure_timeline` is
 // that sequence: one mask row per sweep step, with the legacy static mask
-// as the single-row degenerate case (every step reads row 0). The sweep
-// internals in `lsn`, `traffic` and `tempo` all consume timelines; their
-// static-mask entry points wrap the mask via `from_static_mask` and are
-// byte-identical to the pre-timeline code paths.
+// as the single-row degenerate case (every step reads row 0). Every sweep
+// engine (`lsn`, `traffic`, `tempo`, `spectral`, `serve`) has one entry
+// point, its `_timeline` function, and it consumes timelines only: a static
+// mask goes in as `failure_timeline::from_static_mask(mask)`, and
+// `lsn::sample_failure_timeline` wraps a scenario's `sample_failures` draw
+// that way for the one-shot modes.
 //
 // Timelines are generated by the pluggable scenario processes in
 // `lsn::sample_failure_timeline` (Kessler cascade, solar-storm epoch) and
@@ -60,8 +62,8 @@ struct failure_timeline {
     int final_n_failed() const noexcept;
 
     /// Wrap a one-shot mask (possibly empty = no failures) as the
-    /// degenerate static timeline the legacy sweep entry points feed to
-    /// the timeline internals.
+    /// degenerate static timeline — how a static mask reaches the sweep
+    /// engines' `_timeline` entry points.
     static failure_timeline from_static_mask(std::vector<std::uint8_t> mask);
 };
 

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/expects.h"
-#include "util/parallel.h"
 
 namespace ssplane::serve {
 
@@ -19,30 +18,17 @@ serving_sweep_result run_serving_sweep_timeline(
     OBS_SPAN("serve.sweep");
     OBS_COUNT("serve.sweep.runs");
     OBS_COUNT_N("serve.sweep.steps", offsets_s.size());
-    expects(positions.size() == offsets_s.size(),
-            "positions must cover every sweep offset");
-    lsn::validate(timeline);
-    expects(timeline.n_steps == 0 ||
-                timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count mismatch");
     // Fail on degenerate knobs before the parallel fan-out so the error is
     // a clear contract_violation, not one racing out of a worker.
     validate(options);
     const int n_steps = static_cast<int>(offsets_s.size());
 
-    // Per-step result slots: each step writes only its own entry, so the
-    // parallel chunking never affects the serial reduction below.
-    std::vector<beam_assignment> per_step(static_cast<std::size_t>(n_steps));
-    parallel_for(static_cast<std::size_t>(n_steps),
-                 [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                         const auto t =
-                             builder.epoch().plus_seconds(offsets_s[i]);
-                         per_step[i] = assign_beams(
-                             grid, positions[i],
-                             timeline.step(static_cast<int>(i)), t, options);
-                     }
-                 });
+    const auto per_step = lsn::sweep_steps(
+        builder, offsets_s, positions, timeline,
+        [&](std::size_t i, std::span<const std::uint8_t> failed) {
+            return assign_beams(grid, positions[i], failed,
+                                builder.epoch().plus_seconds(offsets_s[i]), options);
+        });
 
     serving_sweep_result result;
     result.n_steps = n_steps;
@@ -102,20 +88,6 @@ serving_sweep_result run_serving_sweep_timeline(
                                           options.restore_served_fraction);
     m.recovery_headroom = lsn::recovery_headroom(result.step_served_fraction);
     return result;
-}
-
-serving_sweep_result run_serving_sweep_masked(
-    const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
-    const std::vector<std::vector<vec3>>& positions,
-    const std::vector<std::uint8_t>& failed, const session_grid& grid,
-    const serving_options& options)
-{
-    expects(failed.empty() ||
-                failed.size() == static_cast<std::size_t>(builder.n_satellites()),
-            "failure mask size mismatch");
-    return run_serving_sweep_timeline(builder, offsets_s, positions,
-                                      lsn::failure_timeline::from_static_mask(failed),
-                                      grid, options);
 }
 
 double time_to_restore(std::span<const double> step_served_fraction,

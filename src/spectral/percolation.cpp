@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/expects.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ssplane::spectral {
@@ -299,36 +298,26 @@ percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::failure_timeline& timeline, const percolation_options& options)
 {
     validate(options);
-    validate(timeline);
-    expects(positions.size() == offsets_s.size(),
-            "one position row per sweep offset");
-    expects(timeline.n_steps == 0 || timeline.n_satellites == builder.n_satellites(),
-            "timeline satellite count must match the builder");
+    const auto per_step = lsn::sweep_steps(
+        builder, offsets_s, positions, timeline,
+        [&](std::size_t i, std::span<const std::uint8_t> failed) {
+            return analyze_percolation(
+                builder.snapshot_from_positions(positions[i], failed), failed, options);
+        });
 
-    const std::size_t n_steps = offsets_s.size();
+    const std::size_t n_steps = per_step.size();
     percolation_sweep_result result;
-    result.step_lambda2.resize(n_steps);
-    result.step_giant_fraction.resize(n_steps);
-    result.step_susceptibility.resize(n_steps);
-    result.step_clustering.resize(n_steps);
+    result.step_lambda2.reserve(n_steps);
+    result.step_giant_fraction.reserve(n_steps);
+    result.step_susceptibility.reserve(n_steps);
+    result.step_clustering.reserve(n_steps);
+    for (const percolation_metrics& m : per_step) {
+        result.step_lambda2.push_back(m.lambda2);
+        result.step_giant_fraction.push_back(m.giant_component_fraction);
+        result.step_susceptibility.push_back(m.susceptibility);
+        result.step_clustering.push_back(m.clustering_coefficient);
+    }
     if (n_steps == 0) return result;
-
-    // Per-step result slots: any SSPLANE_THREADS value writes the same
-    // slot values, so the serial reduction below is bit-identical.
-    parallel_for(n_steps, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::span<const std::uint8_t> mask =
-                timeline.step(static_cast<int>(i));
-            const lsn::network_snapshot snapshot =
-                builder.snapshot_from_positions(positions[i], mask);
-            const percolation_metrics m =
-                analyze_percolation(snapshot, mask, options);
-            result.step_lambda2[i] = m.lambda2;
-            result.step_giant_fraction[i] = m.giant_component_fraction;
-            result.step_susceptibility[i] = m.susceptibility;
-            result.step_clustering[i] = m.clustering_coefficient;
-        }
-    });
 
     result.lambda2_min = result.step_lambda2[0];
     result.giant_fraction_min = result.step_giant_fraction[0];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/expects.h"
 
@@ -72,8 +73,10 @@ lsn::failure_timeline generate_adversary_timeline(
             if (plane_dead[static_cast<std::size_t>(p)]) continue;
             auto trial = current;
             kill_plane(p, trial);
-            const auto sweep = run_traffic_sweep_masked(
-                builder, eval_offsets, eval_positions, trial, demand, options);
+            const auto sweep = run_traffic_sweep_timeline(
+                builder, eval_offsets, eval_positions,
+                lsn::failure_timeline::from_static_mask(std::move(trial)), demand,
+                options);
             if (sweep.metrics.delivered_gbps_mean < best_delivered) {
                 best_delivered = sweep.metrics.delivered_gbps_mean;
                 best_plane = p;

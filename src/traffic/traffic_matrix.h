@@ -36,6 +36,12 @@ struct traffic_matrix_options {
     double min_distance_km = 500.0;
 };
 
+/// Reject knobs that would silently yield a NaN or infinite matrix with a
+/// clear `contract_violation`: `total_demand_gbps` must be finite and
+/// non-negative, `distance_exponent` finite, `min_distance_km` finite and
+/// positive.
+void validate(const traffic_matrix_options& options);
+
 /// Symmetric offered-load matrix over a gateway set [Gbps], zero diagonal.
 struct traffic_matrix {
     int n_stations = 0;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/sweep_grid.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -99,13 +100,15 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
     ASSERT_EQ(campaign.rows.size(), 4u);
     ASSERT_EQ(campaign.n_engines, 3);
 
+    // Direct sweeps on an independent builder and propagation pass.
+    const test::sweep_grid g(topo, stations, grid, epoch);
     const auto requests = test_requests();
     for (std::size_t r = 0; r < campaign.rows.size(); ++r) {
-        const auto& scenario = campaign.rows[r].scenario;
+        const auto timeline = g.timeline(campaign.rows[r].scenario);
         const int row = static_cast<int>(r);
 
-        // Legacy survivability entry point, rebuilding everything itself.
-        const auto surv = lsn::run_scenario_sweep(topo, stations, epoch, scenario, grid);
+        const auto surv = lsn::run_scenario_sweep_timeline(g.builder, g.offsets,
+                                                           g.positions, timeline);
         EXPECT_EQ(campaign.rows[r].n_failed, surv.metrics.n_failed);
         const auto& surv_cell = survivability_engine::detail(campaign.cell(row, 0));
         EXPECT_EQ(surv_cell.metrics.giant_component_fraction,
@@ -119,9 +122,8 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
         EXPECT_EQ(campaign.value(row, "survivability.p95_latency_ms"),
                   surv.metrics.p95_latency_ms);
 
-        // Legacy traffic entry point.
-        const auto traf = traffic::run_traffic_sweep(topo, stations, epoch, scenario,
-                                                     test_demand(), grid);
+        const auto traf = traffic::run_traffic_sweep_timeline(
+            g.builder, g.offsets, g.positions, timeline, test_demand());
         const auto& traf_cell = traffic_engine::detail(campaign.cell(row, 1));
         EXPECT_EQ(traf_cell.metrics.offered_gbps_mean, traf.metrics.offered_gbps_mean);
         EXPECT_EQ(traf_cell.metrics.delivered_gbps_mean,
@@ -134,9 +136,8 @@ TEST(Campaign, MixedCampaignMatchesLegacyEntryPointsBitForBit)
         EXPECT_EQ(campaign.value(row, "traffic.delivered_fraction"),
                   traf.metrics.delivered_fraction);
 
-        // Legacy bulk entry point.
-        const auto bulk =
-            tempo::run_bulk_sweep(topo, stations, epoch, scenario, requests, grid);
+        const auto bulk = tempo::run_bulk_sweep_timeline(g.builder, g.offsets,
+                                                         g.positions, timeline, requests);
         const auto& bulk_cell = bulk_engine::detail(campaign.cell(row, 2));
         EXPECT_EQ(bulk_cell.n_failed, bulk.n_failed);
         EXPECT_EQ(bulk_cell.routing.offered_gb, bulk.routing.offered_gb);
@@ -497,9 +498,9 @@ TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
 
 TEST(Campaign, StaticScenarioCampaignIsByteIdenticalToPreTimelineBehavior)
 {
-    // The legacy-equivalence acceptance gate: a static-mode campaign CSV
-    // must carry exactly the legacy sweep numbers (the columns grew, the
-    // shared ones did not move).
+    // A static-mode campaign cell carries exactly the numbers of a direct
+    // `_timeline` sweep under the scenario's `sample_failures` mask, passed
+    // as the one-row static timeline.
     const auto topo = small_walker();
     const auto stations = traffic::stations_from_cities(4);
     const auto epoch = astro::instant::j2000();
@@ -508,21 +509,34 @@ TEST(Campaign, StaticScenarioCampaignIsByteIdenticalToPreTimelineBehavior)
 
     const auto plan = mixed_plan(lsn::plane_count(topo), 7);
     const auto campaign = run_campaign(plan, context);
+    const auto requests = test_requests();
     for (std::size_t r = 0; r < campaign.rows.size(); ++r) {
-        const auto& scenario = campaign.rows[r].scenario;
         const int row = static_cast<int>(r);
-        const auto mask = lsn::sample_failures(topo, scenario);
-        const auto surv = lsn::run_scenario_sweep_masked(
-            context.builder(), context.offsets(), context.positions(), mask);
+        const auto timeline = lsn::failure_timeline::from_static_mask(
+            lsn::sample_failures(topo, campaign.rows[r].scenario));
+        const auto surv = lsn::run_scenario_sweep_timeline(
+            context.builder(), context.offsets(), context.positions(), timeline);
+        const auto& surv_cell = survivability_engine::detail(campaign.cell(row, 0));
         EXPECT_EQ(campaign.value(row, "survivability.giant_component_fraction"),
                   surv.metrics.giant_component_fraction);
         EXPECT_EQ(campaign.value(row, "survivability.p95_latency_ms"),
                   surv.metrics.p95_latency_ms);
-        const auto traf = traffic::run_traffic_sweep_masked(
-            context.builder(), context.offsets(), context.positions(), mask,
+        EXPECT_EQ(surv_cell.pair_mean_latency_ms, surv.pair_mean_latency_ms);
+        EXPECT_EQ(surv_cell.step_giant_fraction, surv.step_giant_fraction);
+
+        const auto traf = traffic::run_traffic_sweep_timeline(
+            context.builder(), context.offsets(), context.positions(), timeline,
             test_demand());
         EXPECT_EQ(campaign.value(row, "traffic.delivered_gbps_mean"),
                   traf.metrics.delivered_gbps_mean);
+        EXPECT_EQ(traffic_engine::detail(campaign.cell(row, 1)).step_delivered_fraction,
+                  traf.step_delivered_fraction);
+
+        const auto bulk = tempo::run_bulk_sweep_timeline(
+            context.builder(), context.offsets(), context.positions(), timeline,
+            requests);
+        EXPECT_EQ(campaign.value(row, "bulk.delivered_gb"), bulk.routing.delivered_gb);
+        EXPECT_EQ(campaign.value(row, "bulk.max_buffer_gb"), bulk.routing.max_buffer_gb);
     }
 }
 
@@ -593,7 +607,7 @@ TEST(Campaign, PerStepBulkEngineReportsTheReplicationFloor)
     EXPECT_EQ(campaign.engine_names[0], "bulk");
     EXPECT_EQ(campaign.engine_names[1], "bulk_per_step");
 
-    const auto legacy = tempo::run_bulk_sweep_per_step_baseline(
+    const auto legacy = tempo::run_bulk_sweep_per_step_baseline_timeline(
         context.builder(), context.offsets(), context.positions(), {},
         test_requests());
     EXPECT_EQ(campaign.value(0, "bulk_per_step.delivered_gb"),

@@ -7,12 +7,24 @@
 #include <gtest/gtest.h>
 
 #include "lsn/routing.h"
+#include "support/sweep_grid.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
 
 namespace ssplane::lsn {
 namespace {
+
+/// One scenario swept over its own builder, grid and propagation pass.
+scenario_sweep_result sweep(const lsn_topology& topo,
+                            const std::vector<ground_station>& stations,
+                            const failure_scenario& scenario,
+                            const scenario_sweep_options& opts)
+{
+    const test::sweep_grid g(topo, stations, opts);
+    return run_scenario_sweep_timeline(g.builder, g.offsets, g.positions,
+                                       g.timeline(scenario));
+}
 
 constellation::walker_parameters small_grid(int planes = 6, int sats = 6)
 {
@@ -268,7 +280,6 @@ TEST(Scenario, SingleSourceMatchesPointToPoint)
 TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
 {
     const auto topo = build_walker_grid_topology(small_grid(6, 6));
-    const auto epoch = astro::instant::j2000();
     scenario_sweep_options opts;
     opts.duration_s = 1200.0;
     opts.step_s = 600.0;
@@ -282,7 +293,7 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
         attack.mode = failure_mode::plane_attack;
         attack.planes_attacked = k;
         attack.seed = 21;
-        const auto r = run_scenario_sweep(topo, {}, epoch, attack, opts);
+        const auto r = sweep(topo, {}, attack, opts);
         EXPECT_EQ(r.metrics.n_failed, 6 * k);
         EXPECT_LE(r.metrics.giant_component_fraction, 1.0 - k / 6.0 + 1e-12);
         if (k == 0) {
@@ -301,7 +312,7 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
         random.mode = failure_mode::random_loss;
         random.loss_fraction = k / 6.0;
         random.seed = 21;
-        const auto r = run_scenario_sweep(topo, {}, epoch, random, opts);
+        const auto r = sweep(topo, {}, random, opts);
         EXPECT_EQ(r.metrics.n_failed, 6 * k);
         EXPECT_LE(r.metrics.giant_component_fraction, 1.0 - k / 6.0 + 1e-12);
     }
@@ -314,12 +325,21 @@ TEST(Scenario, DegenerateTimeGrids)
     EXPECT_THROW(sweep_offsets(100.0, 0.0), contract_violation);
     EXPECT_EQ(sweep_offsets(900.0, 300.0).size(), 3u);
 
+    // Offset i is i * step: a fractional step neither drifts nor gains a
+    // spurious final offset just below the duration.
+    const auto tenths = sweep_offsets(1.0, 0.1);
+    ASSERT_EQ(tenths.size(), 10u);
+    for (std::size_t i = 0; i < tenths.size(); ++i)
+        EXPECT_EQ(tenths[i], static_cast<double>(i) * 0.1);
+    const auto hour = sweep_offsets(3600.0, 0.1);
+    ASSERT_EQ(hour.size(), 36000u);
+    EXPECT_EQ(hour.back(), 35999.0 * 0.1);
+
     // An empty grid sweeps to zeroed metrics instead of throwing.
     const auto topo = build_walker_grid_topology(small_grid(3, 3));
     scenario_sweep_options opts;
     opts.duration_s = 0.0;
-    const auto r = run_scenario_sweep(topo, default_ground_stations(),
-                                      astro::instant::j2000(), {}, opts);
+    const auto r = sweep(topo, default_ground_stations(), {}, opts);
     EXPECT_EQ(r.n_steps, 0);
     EXPECT_EQ(r.metrics.pair_reachable_fraction, 0.0);
     EXPECT_EQ(r.metrics.p95_latency_ms, 0.0);
@@ -330,7 +350,6 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     const auto topo = build_walker_grid_topology(small_grid(4, 5));
     const auto all = default_ground_stations();
     const std::vector<ground_station> stations(all.begin(), all.begin() + 5);
-    const auto epoch = astro::instant::j2000();
 
     failure_scenario scenario;
     scenario.mode = failure_mode::random_loss;
@@ -345,7 +364,7 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     std::vector<scenario_sweep_result> runs;
     for (const unsigned threads : {1u, 2u, 5u}) {
         set_thread_count(threads);
-        runs.push_back(run_scenario_sweep(topo, stations, epoch, scenario, opts));
+        runs.push_back(sweep(topo, stations, scenario, opts));
     }
     set_thread_count(0);
 
@@ -362,38 +381,6 @@ TEST(Scenario, SweepDeterministicAcrossThreadCounts)
     }
 }
 
-TEST(Scenario, MaskedSweepMatchesScenarioSweep)
-{
-    const auto topo = build_walker_grid_topology(small_grid(4, 5));
-    const auto all = default_ground_stations();
-    const std::vector<ground_station> stations(all.begin(), all.begin() + 5);
-    const snapshot_builder builder(topo, stations, astro::instant::j2000(),
-                                   deg2rad(25.0));
-    const auto offsets = sweep_offsets(3600.0, 600.0);
-    const auto positions = builder.positions_at_offsets(offsets);
-
-    failure_scenario scenario;
-    scenario.mode = failure_mode::random_loss;
-    scenario.loss_fraction = 0.2;
-    scenario.seed = 5;
-
-    const auto via_scenario = run_scenario_sweep(builder, offsets, positions, scenario);
-    const auto via_mask = run_scenario_sweep_masked(
-        builder, offsets, positions, sample_failures(topo, scenario));
-    EXPECT_EQ(via_mask.metrics.n_failed, via_scenario.metrics.n_failed);
-    EXPECT_EQ(via_mask.metrics.giant_component_fraction,
-              via_scenario.metrics.giant_component_fraction);
-    EXPECT_EQ(via_mask.metrics.p95_latency_ms, via_scenario.metrics.p95_latency_ms);
-    EXPECT_EQ(via_mask.pair_reachable_fraction, via_scenario.pair_reachable_fraction);
-    EXPECT_EQ(via_mask.pair_mean_latency_ms, via_scenario.pair_mean_latency_ms);
-
-    // An empty mask is the no-failure baseline.
-    const auto empty_mask = run_scenario_sweep_masked(builder, offsets, positions, {});
-    const auto baseline = run_scenario_sweep(builder, offsets, positions, {});
-    EXPECT_EQ(empty_mask.metrics.n_failed, 0);
-    EXPECT_EQ(empty_mask.metrics.p95_latency_ms, baseline.metrics.p95_latency_ms);
-}
-
 TEST(Scenario, SweepBaselineVersusFailures)
 {
     // A dense shell so most pairs are reachable at baseline.
@@ -404,25 +391,32 @@ TEST(Scenario, SweepBaselineVersusFailures)
         return p;
     }());
     const auto stations = default_ground_stations();
-    const auto epoch = astro::instant::j2000();
     scenario_sweep_options opts;
     opts.duration_s = 3600.0;
     opts.step_s = 900.0;
     opts.min_elevation_rad = deg2rad(25.0);
     opts.max_isl_range_m = 8.0e6; // keep the 1200 km shell's +Grid intact
 
-    const auto baseline = run_scenario_sweep(topo, stations, epoch, {}, opts);
+    const auto baseline = sweep(topo, stations, {}, opts);
     EXPECT_EQ(baseline.metrics.n_failed, 0);
     EXPECT_DOUBLE_EQ(baseline.metrics.giant_component_fraction, 1.0);
     EXPECT_GT(baseline.metrics.pair_reachable_fraction, 0.6);
     EXPECT_GT(baseline.metrics.p95_latency_ms, baseline.metrics.mean_latency_ms * 0.5);
     EXPECT_DOUBLE_EQ(p95_latency_inflation(baseline, baseline), 1.0);
 
+    // The empty static mask (a zero-row timeline) is the same baseline.
+    const test::sweep_grid g(topo, stations, opts);
+    const auto empty = run_scenario_sweep_timeline(
+        g.builder, g.offsets, g.positions, failure_timeline::from_static_mask({}));
+    EXPECT_EQ(empty.metrics.n_failed, 0);
+    EXPECT_EQ(empty.metrics.p95_latency_ms, baseline.metrics.p95_latency_ms);
+    EXPECT_EQ(empty.pair_mean_latency_ms, baseline.pair_mean_latency_ms);
+
     failure_scenario heavy;
     heavy.mode = failure_mode::random_loss;
     heavy.loss_fraction = 0.5;
     heavy.seed = 9;
-    const auto failed = run_scenario_sweep(topo, stations, epoch, heavy, opts);
+    const auto failed = sweep(topo, stations, heavy, opts);
     EXPECT_EQ(failed.metrics.n_failed, 40);
     EXPECT_LT(failed.metrics.giant_component_fraction,
               baseline.metrics.giant_component_fraction);

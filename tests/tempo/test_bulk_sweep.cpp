@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/sweep_grid.h"
 #include "traffic/traffic_matrix.h"
 #include "util/angles.h"
 #include "util/parallel.h"
@@ -39,8 +40,9 @@ TEST(BulkSweep, DeliversBulkVolumeOnHealthyConstellation)
         {0, 2, 5000.0, 0.0, 7200.0},
         {1, 3, 3000.0, 1800.0, 7200.0},
     };
-    const auto result = run_bulk_sweep(topo, stations, astro::instant::j2000(), {},
-                                       requests, short_sweep());
+    const test::sweep_grid g(topo, stations, short_sweep());
+    const auto result = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                g.timeline({}), requests);
 
     EXPECT_EQ(result.n_steps, 4);
     EXPECT_EQ(result.n_failed, 0);
@@ -65,7 +67,6 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
     // are scarce within single steps while uplink-only contact persists.
     const auto topo = test_walker();
     const auto stations = traffic::stations_from_cities(4);
-    const auto epoch = astro::instant::j2000();
     auto sweep = short_sweep();
     sweep.duration_s = 14400.0;
 
@@ -74,11 +75,8 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
     loss.loss_fraction = 0.5;
     loss.seed = 11;
 
-    const lsn::snapshot_builder builder(topo, stations, epoch,
-                                        sweep.min_elevation_rad,
-                                        sweep.max_isl_range_m);
-    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const test::sweep_grid g(topo, stations, sweep);
+    const auto timeline = g.timeline(loss);
 
     bulk_route_options opts;
     opts.sat_buffer_gb = 1.0e5;
@@ -87,10 +85,10 @@ TEST(BulkSweep, StoreAndForwardBeatsPerStepGreedyUnderFailureWithPulse)
         for (int b = 0; b < 4; ++b)
             if (a != b) requests.push_back({a, b, 2.0e5, 0.0, 14400.0});
 
-    const auto expanded =
-        run_bulk_sweep(builder, offsets, positions, loss, requests, opts);
-    const auto replicated = run_bulk_sweep_per_step_baseline(
-        builder, offsets, positions, loss, requests, opts);
+    const auto expanded = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                  timeline, requests, opts);
+    const auto replicated = run_bulk_sweep_per_step_baseline_timeline(
+        g.builder, g.offsets, g.positions, timeline, requests, opts);
 
     EXPECT_EQ(expanded.n_failed, replicated.n_failed);
     EXPECT_GT(expanded.n_failed, 0);
@@ -111,27 +109,20 @@ TEST(BulkSweep, FailuresOnlyReduceDeliveredVolume)
 {
     const auto topo = test_walker();
     const auto stations = traffic::stations_from_cities(4);
-    const auto epoch = astro::instant::j2000();
-    const auto sweep = short_sweep();
-
-    const lsn::snapshot_builder builder(topo, stations, epoch,
-                                        sweep.min_elevation_rad,
-                                        sweep.max_isl_range_m);
-    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const test::sweep_grid g(topo, stations, short_sweep());
     const std::vector<bulk_transfer_request> requests{
         {0, 2, 5.0e4, 0.0, 7200.0},
         {3, 1, 5.0e4, 0.0, 7200.0},
     };
 
-    const auto baseline =
-        run_bulk_sweep(builder, offsets, positions, {}, requests, {});
+    const auto baseline = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                  g.timeline({}), requests);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
-    const auto degraded =
-        run_bulk_sweep(builder, offsets, positions, loss, requests, {});
+    const auto degraded = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                  g.timeline(loss), requests);
 
     const double ratio = delivered_volume_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
@@ -158,8 +149,9 @@ TEST(BulkSweep, BitIdenticalAcrossThreadCounts)
 
     const auto run_with = [&](unsigned threads) {
         set_thread_count(threads);
-        const auto result = run_bulk_sweep(topo, stations, astro::instant::j2000(),
-                                           loss, requests, short_sweep());
+        const test::sweep_grid g(topo, stations, short_sweep());
+        const auto result = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                    g.timeline(loss), requests);
         set_thread_count(0);
         return result;
     };
@@ -191,12 +183,7 @@ TEST(BulkSweep, CascadeTimelineRoutesAroundTheUnfoldingFailure)
 {
     const auto topo = test_walker();
     const auto stations = traffic::stations_from_cities(4);
-    const auto epoch = astro::instant::j2000();
-    const auto sweep = short_sweep();
-    const lsn::snapshot_builder builder(topo, stations, epoch,
-                                        sweep.min_elevation_rad);
-    const auto offsets = lsn::sweep_offsets(sweep.duration_s, sweep.step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
+    const test::sweep_grid g(topo, stations, short_sweep());
     const std::vector<bulk_transfer_request> requests{
         {0, 2, 5000.0, 0.0, 7200.0},
         {1, 3, 3000.0, 1800.0, 7200.0},
@@ -210,28 +197,18 @@ TEST(BulkSweep, CascadeTimelineRoutesAroundTheUnfoldingFailure)
     cascade.cascade_cooldown_s = 7200.0;
     cascade.seed = 9;
 
-    const auto baseline =
-        run_bulk_sweep(builder, offsets, positions, {}, requests);
-    const auto degraded =
-        run_bulk_sweep(builder, offsets, positions, cascade, requests);
-    const auto timeline =
-        lsn::sample_failure_timeline(topo, cascade, offsets, epoch);
+    const auto timeline = g.timeline(cascade);
+    const auto baseline = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                  g.timeline({}), requests);
+    const auto degraded = run_bulk_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                  timeline, requests);
 
-    // The scenario entry point routed through the timeline internals: its
-    // loss count is the timeline's final row, and delivered volume can only
-    // shrink relative to the unfailed baseline.
+    // The loss count is the timeline's final row, and delivered volume can
+    // only shrink relative to the unfailed baseline.
     EXPECT_EQ(degraded.n_failed, timeline.final_n_failed());
     EXPECT_GT(degraded.n_failed, 0);
     EXPECT_LE(degraded.routing.delivered_gb,
               baseline.routing.delivered_gb + 1e-9);
-
-    // Explicit-timeline and scenario paths agree exactly.
-    const auto explicit_timeline =
-        run_bulk_sweep_timeline(builder, offsets, positions, timeline, requests);
-    EXPECT_EQ(degraded.routing.delivered_gb,
-              explicit_timeline.routing.delivered_gb);
-    EXPECT_EQ(degraded.routing.max_buffer_gb,
-              explicit_timeline.routing.max_buffer_gb);
 }
 
 } // namespace

@@ -50,7 +50,7 @@ const check_case cases[] = {
     {"raw-rng", "raw_rng_fire.cpp", "raw_rng_allow.cpp", 5},
     {"wall-clock", "wall_clock_fire.cpp", "wall_clock_allow.cpp", 3},
     {"parallel-accumulation", "parallel_accumulation_fire.cpp",
-     "parallel_accumulation_allow.cpp", 1},
+     "parallel_accumulation_allow.cpp", 2},
     {"ref-capture-task", "ref_capture_task_fire.cpp",
      "ref_capture_task_allow.cpp", 2},
     {"split-purpose-collision", "split_purpose_collision_fire.cpp",

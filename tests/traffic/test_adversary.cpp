@@ -157,8 +157,10 @@ TEST(Adversary, GreedyDamageAtLeastMatchesRandomPlaneAttacks)
         random_attack.mode = lsn::failure_mode::plane_attack;
         random_attack.planes_attacked = budget;
         random_attack.seed = seed;
-        const auto sweep = run_traffic_sweep_masked(
-            builder, offsets, positions, lsn::sample_failures(topo, random_attack),
+        const auto sweep = run_traffic_sweep_timeline(
+            builder, offsets, positions,
+            lsn::sample_failure_timeline(topo, random_attack, offsets,
+                                         builder.epoch()),
             test_demand());
         EXPECT_LE(greedy_sweep.metrics.delivered_gbps_mean,
                   sweep.metrics.delivered_gbps_mean + 1e-12)
@@ -182,15 +184,19 @@ TEST(Adversary, StridedOracleStillStrikesAndScenarioSweepRoutesHere)
                                                      scenario, test_demand());
     EXPECT_EQ(strided.final_n_failed(), 6);
 
-    // The scenario-taking sweep entry point generates the same timeline
-    // internally: delivered traffic matches the explicit-timeline path.
-    const auto via_scenario =
-        run_traffic_sweep(builder, offsets, positions, scenario, test_demand());
+    // The strike lands at step 0, so every row holds the final mask: the
+    // sweep of the adversary timeline matches the sweep of that mask as a
+    // one-row static timeline.
+    const auto final_row = strided.step(strided.n_steps - 1);
+    const auto via_static = run_traffic_sweep_timeline(
+        builder, offsets, positions,
+        lsn::failure_timeline::from_static_mask({final_row.begin(), final_row.end()}),
+        test_demand());
     const auto via_timeline = run_traffic_sweep_timeline(
         builder, offsets, positions, strided, test_demand());
-    EXPECT_EQ(via_scenario.metrics.delivered_gbps_mean,
+    EXPECT_EQ(via_static.metrics.delivered_gbps_mean,
               via_timeline.metrics.delivered_gbps_mean);
-    EXPECT_EQ(via_scenario.step_delivered_fraction,
+    EXPECT_EQ(via_static.step_delivered_fraction,
               via_timeline.step_delivered_fraction);
 }
 

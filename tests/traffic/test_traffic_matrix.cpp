@@ -1,5 +1,8 @@
 #include "traffic/traffic_matrix.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "demand/cities.h"
@@ -9,6 +12,8 @@
 
 namespace ssplane::traffic {
 namespace {
+
+constexpr double inf = std::numeric_limits<double>::infinity();
 
 const demand::population_model& test_population()
 {
@@ -102,6 +107,44 @@ TEST(TrafficMatrix, AllZeroMassesYieldZeroMatrix)
     const auto matrix = build_traffic_matrix(model, ocean, astro::instant::j2000());
     EXPECT_EQ(matrix.total_gbps, 0.0);
     EXPECT_EQ(matrix.demand(0, 1), 0.0);
+}
+
+TEST(TrafficMatrix, ValidateRejectsBadTotalDemand)
+{
+    EXPECT_NO_THROW(validate(traffic_matrix_options{}));
+    for (const double bad : {-1.0, inf, std::nan("")}) {
+        traffic_matrix_options options;
+        options.total_demand_gbps = bad;
+        EXPECT_THROW(validate(options), contract_violation) << bad;
+    }
+    // The matrix builder runs the same check.
+    const demand::demand_model model(test_population());
+    traffic_matrix_options infinite;
+    infinite.total_demand_gbps = inf;
+    EXPECT_THROW(build_traffic_matrix(model, stations_from_cities(3),
+                                      astro::instant::j2000(), infinite),
+                 contract_violation);
+}
+
+TEST(TrafficMatrix, ValidateRejectsNonFiniteDistanceExponent)
+{
+    traffic_matrix_options negative;
+    negative.distance_exponent = -0.5; // any finite exponent is a valid shape
+    EXPECT_NO_THROW(validate(negative));
+    for (const double bad : {inf, -inf, std::nan("")}) {
+        traffic_matrix_options options;
+        options.distance_exponent = bad;
+        EXPECT_THROW(validate(options), contract_violation) << bad;
+    }
+}
+
+TEST(TrafficMatrix, ValidateRejectsBadDistanceFloor)
+{
+    for (const double bad : {0.0, -10.0, inf, std::nan("")}) {
+        traffic_matrix_options options;
+        options.min_distance_km = bad;
+        EXPECT_THROW(validate(options), contract_violation) << bad;
+    }
 }
 
 } // namespace

@@ -1,7 +1,11 @@
 #include "traffic/traffic_sweep.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "support/sweep_grid.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -40,9 +44,9 @@ TEST(TrafficSweep, ProducesSaneBaselineMetrics)
     const demand::demand_model model(test_population());
     const auto topo = small_walker();
     const auto stations = stations_from_cities(4);
-    const auto result =
-        run_traffic_sweep(topo, stations, astro::instant::j2000(), {}, model,
-                          short_sweep());
+    const test::sweep_grid g(topo, stations, short_sweep());
+    const auto result = run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                   g.timeline({}), model);
 
     EXPECT_EQ(result.n_steps, 4);
     EXPECT_EQ(result.n_stations, 4);
@@ -64,20 +68,16 @@ TEST(TrafficSweep, MassiveLossReducesDeliveredThroughput)
     const demand::demand_model model(test_population());
     const auto topo = small_walker();
     const auto stations = stations_from_cities(4);
-    const auto epoch = astro::instant::j2000();
+    const test::sweep_grid g(topo, stations, short_sweep());
 
-    const lsn::snapshot_builder builder(topo, stations, epoch,
-                                        short_sweep().min_elevation_rad);
-    const auto offsets =
-        lsn::sweep_offsets(short_sweep().duration_s, short_sweep().step_s);
-    const auto positions = builder.positions_at_offsets(offsets);
-
-    const auto baseline = run_traffic_sweep(builder, offsets, positions, {}, model);
+    const auto baseline = run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                     g.timeline({}), model);
     lsn::failure_scenario loss;
     loss.mode = lsn::failure_mode::random_loss;
     loss.loss_fraction = 0.6;
     loss.seed = 7;
-    const auto degraded = run_traffic_sweep(builder, offsets, positions, loss, model);
+    const auto degraded = run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
+                                                     g.timeline(loss), model);
 
     const double ratio = delivered_throughput_ratio(baseline, degraded);
     EXPECT_GE(ratio, 0.0);
@@ -119,11 +119,31 @@ TEST(TrafficSweep, RejectsDegenerateCapacityOptionsBeforeSweeping)
     const demand::demand_model model(test_population());
     const auto topo = small_walker();
     const auto stations = stations_from_cities(4);
+    const test::sweep_grid g(topo, stations, short_sweep());
     traffic_sweep_options options;
     options.capacity.k_rounds = 0;
-    EXPECT_THROW(run_traffic_sweep(topo, stations, astro::instant::j2000(), {},
-                                   model, short_sweep(), options),
+    EXPECT_THROW(run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
+                                            g.timeline({}), model, options),
                  contract_violation);
+}
+
+TEST(TrafficSweep, RejectsDegenerateMatrixOptionsBeforeSweeping)
+{
+    const demand::demand_model model(test_population());
+    const auto topo = small_walker();
+    const test::sweep_grid g(topo, stations_from_cities(4), short_sweep());
+    const auto sweep_with = [&](const traffic_matrix_options& matrix) {
+        traffic_sweep_options options;
+        options.matrix = matrix;
+        return run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
+                                          g.timeline({}), model, options);
+    };
+    traffic_matrix_options nan_exponent;
+    nan_exponent.distance_exponent = std::nan("");
+    EXPECT_THROW(sweep_with(nan_exponent), contract_violation);
+    traffic_matrix_options infinite_demand;
+    infinite_demand.total_demand_gbps = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sweep_with(infinite_demand), contract_violation);
 }
 
 TEST(TrafficSweep, BitIdenticalAcrossThreadCounts)
@@ -138,8 +158,9 @@ TEST(TrafficSweep, BitIdenticalAcrossThreadCounts)
 
     const auto run_with = [&](unsigned threads) {
         set_thread_count(threads);
-        const auto result = run_traffic_sweep(topo, stations, astro::instant::j2000(),
-                                              loss, model, short_sweep());
+        const test::sweep_grid g(topo, stations, short_sweep());
+        const auto result = run_traffic_sweep_timeline(
+            g.builder, g.offsets, g.positions, g.timeline(loss), model);
         set_thread_count(0);
         return result;
     };

@@ -468,12 +468,13 @@ void check_wall_clock(const source_file& file, std::vector<finding>& out)
 // --- Check: parallel-accumulation -----------------------------------------
 
 /// Extents (offset ranges) of parallel_for / parallel_map call argument
-/// lists in `file`.
+/// lists in `file`, and of `lsn::sweep_steps` calls, whose per-step kernel
+/// runs inside a parallel_map.
 std::vector<std::pair<std::size_t, std::size_t>> parallel_extents(
     const source_file& file)
 {
     std::vector<std::pair<std::size_t, std::size_t>> extents;
-    static const std::regex call_re(R"(\bparallel_(?:for|map))");
+    static const std::regex call_re(R"(\b(?:parallel_(?:for|map)|sweep_steps))");
     const std::string& text = file.joined;
     for (auto it = std::sregex_iterator(text.begin(), text.end(), call_re);
          it != std::sregex_iterator(); ++it) {
@@ -912,7 +913,7 @@ const std::vector<check_info>& all_checks()
                        "sanctioned instrumentation-timing module"},
         {"parallel-accumulation",
          "compound assignment to by-ref-captured outer state inside "
-         "parallel_for/parallel_map bodies"},
+         "parallel_for/parallel_map bodies and sweep_steps kernels"},
         {"ref-capture-task",
          "by-reference lambda capture handed to thread_pool::submit or "
          "std::thread"},

@@ -18,7 +18,8 @@
 //                            must depend only on the scenario epoch.
 //   parallel-accumulation    compound assignment (+=, -=, *=, /=) to a
 //                            variable declared outside a parallel_for /
-//                            parallel_map body that captures by reference:
+//                            parallel_map body (or an lsn::sweep_steps
+//                            kernel) that captures by reference:
 //                            a data race, and even when benign the FP
 //                            reduction order depends on thread timing. Use
 //                            per-chunk partials combined in chunk order
