@@ -74,7 +74,7 @@ int main(int argc, char** argv)
     std::cout << "topology: " << topology.satellites.size() << " nodes, "
               << topology.links.size() << " inter-satellite links\n\n";
 
-    lsn::simulation_options sim;
+    lsn::scenario_sweep_options sim;
     sim.duration_s = 86400.0;
     sim.step_s = 1800.0;
 
@@ -221,6 +221,8 @@ int main(int argc, char** argv)
     serving_opts.n_sessions =
         static_cast<std::int64_t>(args.get_double("sessions", 1000000.0));
     serving_opts.seed = seed;
+    const auto serving =
+        std::make_shared<exp::serving_engine>(population, serving_opts);
 
     plan.engines = {
         std::make_shared<exp::survivability_engine>(),
@@ -229,7 +231,7 @@ int main(int argc, char** argv)
         std::make_shared<exp::bulk_engine>(bulk_requests, bulk_opts,
                                            /*per_step_baseline=*/true),
         std::make_shared<exp::percolation_engine>(perc_opts),
-        std::make_shared<exp::serving_engine>(population, serving_opts)};
+        serving};
 
     // One context = one propagation pass + one failure draw per scenario,
     // shared by all (scenario, engine) cells. The greedy adversary needs a
@@ -318,10 +320,7 @@ int main(int argc, char** argv)
     // threshold after first dipping (-1 = never dipped, inf = never
     // recovered within the day).
     const int serving_e = campaign.engine_index("serving");
-    const auto& serving_grid =
-        std::dynamic_pointer_cast<const exp::serving_engine>(
-            campaign.engines[static_cast<std::size_t>(serving_e)])
-            ->grid();
+    const auto& serving_grid = serving->grid();
     std::cout << "\nuser-level SLOs (" << serving_grid.total_sessions
               << " sessions over " << serving_grid.cells.size()
               << " populated cells, " << serving_opts.session_rate_mbps
@@ -462,9 +461,6 @@ int main(int argc, char** argv)
     // Cache telemetry the campaign collected while it ran: how much work
     // the shared context actually saved.
     std::cout << "\ncontext cache telemetry:\n"
-              << "  mask cache: " << campaign.cache.mask_hits << " hits / "
-              << campaign.cache.mask_misses << " misses (hit rate "
-              << format_number(campaign.cache.mask_hit_rate(), 4) << ")\n"
               << "  timeline cache: " << campaign.cache.timeline_hits
               << " hits / " << campaign.cache.timeline_misses
               << " misses (hit rate "

@@ -82,17 +82,12 @@ void campaign_result::write_csv(std::ostream& out) const
     // Campaign-constant cache-telemetry summary columns, trailing so the
     // per-row metric layout is untouched.
     const std::vector<std::string> ctx_header{
-        "ctx.mask_cache_hits",     "ctx.mask_cache_misses",
-        "ctx.mask_cache_hit_rate", "ctx.timeline_cache_hits",
-        "ctx.timeline_cache_misses", "ctx.timeline_cache_hit_rate",
-        "ctx.snapshot_builds"};
+        "ctx.timeline_cache_hits", "ctx.timeline_cache_misses",
+        "ctx.timeline_cache_hit_rate", "ctx.snapshot_builds"};
     header.insert(header.end(), ctx_header.begin(), ctx_header.end());
     csv_writer csv(out, std::move(header));
 
     const std::vector<std::string> ctx_cells{
-        std::to_string(cache.mask_hits),
-        std::to_string(cache.mask_misses),
-        format_number(cache.mask_hit_rate()),
         std::to_string(cache.timeline_hits),
         std::to_string(cache.timeline_misses),
         format_number(cache.timeline_hit_rate()),
@@ -122,30 +117,13 @@ void campaign_result::write_step_csv(std::ostream& out) const
     header.insert(header.end(), step_columns.begin(), step_columns.end());
     csv_writer csv(out, std::move(header));
 
-    const std::size_t n_steps = step_offsets_s.size();
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        // Gather every engine's traces for this row once; engines without
-        // step columns contribute an empty set.
-        std::vector<std::vector<double>> traces;
-        for (int e = 0; e < n_engines; ++e) {
-            auto engine_traces =
-                engines[static_cast<std::size_t>(e)]->step_traces(
-                    cell(static_cast<int>(r), e));
-            ensures(engine_traces.size() ==
-                        engines[static_cast<std::size_t>(e)]->step_columns().size(),
-                    "engine returned a different number of step traces than its "
-                    "step columns");
-            for (auto& trace : engine_traces) {
-                ensures(trace.size() == n_steps,
-                        "engine step trace does not cover every sweep step");
-                traces.push_back(std::move(trace));
-            }
-        }
-        for (std::size_t i = 0; i < n_steps; ++i) {
+        for (std::size_t i = 0; i < step_offsets_s.size(); ++i) {
             std::vector<std::string> cells_text{rows[r].name, std::to_string(i),
                                                 format_number(step_offsets_s[i])};
-            for (const auto& trace : traces)
-                cells_text.push_back(format_number(trace[i]));
+            for (int e = 0; e < n_engines; ++e)
+                for (const auto& trace : cell(static_cast<int>(r), e).step_traces)
+                    cells_text.push_back(format_number(trace[i]));
             csv.row_text(cells_text);
         }
     }
@@ -170,7 +148,6 @@ campaign_result run_campaign(const experiment_plan& plan,
 
     campaign_result result;
     result.n_engines = static_cast<int>(plan.engines.size());
-    result.engines = plan.engines;
     result.step_offsets_s.assign(context.offsets().begin(), context.offsets().end());
     for (const auto& engine : plan.engines) {
         result.engine_names.push_back(engine->name());
@@ -201,7 +178,7 @@ campaign_result run_campaign(const experiment_plan& plan,
             "each engine a distinct name");
 
     // Resolve the scenario grid and validate every cell's knobs serially,
-    // before any parallel work or mask draw.
+    // before any parallel work or timeline generation.
     const auto expanded = expand_scenarios(plan);
     for (const auto& spec : expanded)
         lsn::validate(spec.scenario, context.topology());
@@ -219,8 +196,7 @@ campaign_result run_campaign(const experiment_plan& plan,
             "a distinct name");
 
     // Prefetch every failure timeline serially: scenarios sharing (mode,
-    // knobs, seed) dedupe onto one generation in the context cache (static
-    // modes additionally populate the mask cache exactly as before), and
+    // knobs, seed) dedupe onto one generation in the context cache, and
     // the parallel section below only reads. Adversary generation — full
     // traffic sweeps per candidate strike — also happens here, serially.
     std::vector<const lsn::failure_timeline*> timelines;
@@ -291,13 +267,21 @@ campaign_result run_campaign(const experiment_plan& plan,
 #endif
 
     // Third-party engines must honour their own column contract — a
-    // mismatched cell would silently misalign `value()` and `write_csv`.
-    for (std::size_t i = 0; i < n_cells; ++i)
-        ensures(result.cells[i].values.size() ==
-                    plan.engines[i % static_cast<std::size_t>(result.n_engines)]
-                        ->columns()
-                        .size(),
+    // mismatched cell would silently misalign `value()`, `write_csv` and
+    // `write_step_csv`.
+    for (std::size_t i = 0; i < n_cells; ++i) {
+        const auto& engine =
+            *plan.engines[i % static_cast<std::size_t>(result.n_engines)];
+        const auto& cell = result.cells[i];
+        ensures(cell.values.size() == engine.columns().size(),
                 "engine returned a different number of values than its columns");
+        ensures(cell.step_traces.size() == engine.step_columns().size(),
+                "engine returned a different number of step traces than its "
+                "step columns");
+        for (const auto& trace : cell.step_traces)
+            ensures(trace.size() == result.step_offsets_s.size(),
+                    "engine step trace does not cover every sweep step");
+    }
     return result;
 }
 

@@ -8,10 +8,12 @@
 // product replicates every template once per seed), and the metric engines
 // to judge every scenario with. `run_campaign` evaluates the full
 // (scenario, engine) grid against one shared `evaluation_context` — one
-// propagation pass, one failure-mask draw per distinct (mode, knobs, seed) —
-// fanning cells over the process thread pool with per-cell result slots, so
-// the result is bit-identical for any `SSPLANE_THREADS` value and identical
-// to running the legacy per-engine entry points scenario by scenario.
+// propagation pass, one failure-timeline generation per distinct (mode,
+// knobs, seed) — fanning cells over the process thread pool with per-cell
+// result slots, so the result is bit-identical for any `SSPLANE_THREADS`
+// value and identical to running each engine's `_timeline` entry point
+// scenario by scenario. Every cell carries its engine's scalar values and
+// per-step traces, so the result tables need no engine after the run.
 #ifndef SSPLANE_EXP_CAMPAIGN_H
 #define SSPLANE_EXP_CAMPAIGN_H
 
@@ -67,9 +69,6 @@ struct campaign_result {
     std::vector<std::string> step_columns;
     int n_engines = 0;
     std::vector<engine_output> cells; ///< rows.size() x n_engines, row-major.
-    /// The plan's engines, kept so per-step traces can be extracted from
-    /// cells after the run (`write_step_csv`).
-    std::vector<std::shared_ptr<const metric_engine>> engines;
     /// The context's sweep time grid, echoed into the step CSV.
     std::vector<double> step_offsets_s;
     /// Evaluation-context cache telemetry of THIS run: the delta of the
@@ -77,8 +76,8 @@ struct campaign_result {
     /// reused context reports only what this campaign did. Echoed into
     /// `write_csv` as the trailing `ctx.*` summary columns.
     cache_statistics cache;
-    /// Snapshots built while evaluating this campaign's cells (the
-    /// quantity the ROADMAP's snapshot-sharing follow-up wants to cut).
+    /// Snapshots built during `run_campaign`: the cells' builds plus those
+    /// of the timeline prefetch (the greedy adversary's oracle sweeps).
     /// Counted via the obs registry — 0 when built with -DSSPLANE_OBS=OFF.
     std::uint64_t snapshot_builds = 0;
 
@@ -104,16 +103,16 @@ struct campaign_result {
 
     /// CSV table via `util/csv`: scenario axes (name, mode, knobs, seed,
     /// n_failed) followed by every flattened metric column, then the
-    /// campaign-constant `ctx.*` cache-telemetry summary columns
-    /// (hits/misses/hit rate per cache, snapshot builds) repeated on every
-    /// row so sliced exports keep their provenance.
+    /// campaign-constant `ctx.*` summary columns (timeline-cache hits,
+    /// misses and hit rate, snapshot builds) repeated on every row so
+    /// sliced exports keep their provenance.
     void write_csv(std::ostream& out) const;
 
     /// Per-step degradation-trajectory table: one line per (scenario,
     /// sweep step) with header `scenario,step,offset_s` followed by every
-    /// `step_columns` trace column. Engines without per-step traces
-    /// contribute no columns. A no-op (header only) when no engine reports
-    /// traces.
+    /// `step_columns` trace column, read from the cells' `step_traces`.
+    /// Engines without per-step traces contribute no columns. A no-op
+    /// (header only) when no engine reports traces.
     void write_step_csv(std::ostream& out) const;
 };
 

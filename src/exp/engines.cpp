@@ -7,10 +7,12 @@ namespace ssplane::exp {
 namespace {
 
 template <class T>
-engine_output make_output(std::vector<double> values, T result)
+engine_output make_output(std::vector<double> values,
+                          std::vector<std::vector<double>> step_traces, T result)
 {
     engine_output out;
     out.values = std::move(values);
+    out.step_traces = std::move(step_traces);
     out.detail = std::make_shared<const T>(std::move(result));
     out.detail_type = &typeid(T);
     return out;
@@ -29,20 +31,14 @@ const T& typed_detail(const engine_output& output)
 
 // --- survivability ---------------------------------------------------------
 
-const std::string& survivability_engine::name() const noexcept
+survivability_engine::survivability_engine()
+    : metric_engine("survivability",
+                    {"n_failed", "giant_component_fraction",
+                     "pair_reachable_fraction", "mean_latency_ms",
+                     "p95_latency_ms", "time_to_partition_s", "recovery_headroom"},
+                    {"n_failed", "giant_component_fraction",
+                     "pair_reachable_fraction"})
 {
-    static const std::string name = "survivability";
-    return name;
-}
-
-const std::vector<std::string>& survivability_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "n_failed",        "giant_component_fraction",
-        "pair_reachable_fraction", "mean_latency_ms",
-        "p95_latency_ms",  "time_to_partition_s",
-        "recovery_headroom"};
-    return cols;
 }
 
 engine_output survivability_engine::evaluate(
@@ -56,27 +52,14 @@ engine_output survivability_engine::evaluate(
     const double time_to_partition =
         lsn::first_time_below(result.step_giant_fraction, context.offsets(), 0.5);
     const double headroom = lsn::recovery_headroom(result.step_giant_fraction);
+    std::vector<std::vector<double>> traces{
+        {result.step_n_failed.begin(), result.step_n_failed.end()},
+        result.step_giant_fraction,
+        result.step_pair_reachable_fraction};
     return make_output({static_cast<double>(m.n_failed), m.giant_component_fraction,
                         m.pair_reachable_fraction, m.mean_latency_ms,
                         m.p95_latency_ms, time_to_partition, headroom},
-                       std::move(result));
-}
-
-const std::vector<std::string>& survivability_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "n_failed", "giant_component_fraction", "pair_reachable_fraction"};
-    return cols;
-}
-
-std::vector<std::vector<double>> survivability_engine::step_traces(
-    const engine_output& output) const
-{
-    const auto& result = detail(output);
-    std::vector<double> n_failed(result.step_n_failed.begin(),
-                                 result.step_n_failed.end());
-    return {std::move(n_failed), result.step_giant_fraction,
-            result.step_pair_reachable_fraction};
+                       std::move(traces), std::move(result));
 }
 
 const lsn::scenario_sweep_result& survivability_engine::detail(
@@ -89,24 +72,15 @@ const lsn::scenario_sweep_result& survivability_engine::detail(
 
 traffic_engine::traffic_engine(const demand::demand_model& demand,
                                traffic::traffic_sweep_options options)
-    : demand_(&demand), options_(std::move(options))
+    : metric_engine("traffic",
+                    {"offered_gbps_mean", "delivered_gbps_mean",
+                     "delivered_fraction", "mean_path_latency_ms",
+                     "p95_link_utilization", "congested_link_fraction",
+                     "min_step_delivered_fraction", "recovery_headroom"},
+                    {"offered_gbps", "delivered_fraction", "p95_utilization"}),
+      demand_(&demand),
+      options_(std::move(options))
 {
-}
-
-const std::string& traffic_engine::name() const noexcept
-{
-    static const std::string name = "traffic";
-    return name;
-}
-
-const std::vector<std::string>& traffic_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "offered_gbps_mean",    "delivered_gbps_mean",
-        "delivered_fraction",   "mean_path_latency_ms",
-        "p95_link_utilization", "congested_link_fraction",
-        "min_step_delivered_fraction", "recovery_headroom"};
-    return cols;
 }
 
 void traffic_engine::validate_options() const
@@ -126,26 +100,14 @@ engine_output traffic_engine::evaluate(const evaluation_context& context,
     for (const double f : result.step_delivered_fraction)
         min_delivered = std::min(min_delivered, f);
     const double headroom = lsn::recovery_headroom(result.step_delivered_fraction);
+    std::vector<std::vector<double>> traces{result.step_offered_gbps,
+                                            result.step_delivered_fraction,
+                                            result.step_p95_utilization};
     return make_output({m.offered_gbps_mean, m.delivered_gbps_mean,
                         m.delivered_fraction, m.mean_path_latency_ms,
                         m.p95_link_utilization, m.congested_link_fraction,
                         min_delivered, headroom},
-                       std::move(result));
-}
-
-const std::vector<std::string>& traffic_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{"offered_gbps", "delivered_fraction",
-                                               "p95_utilization"};
-    return cols;
-}
-
-std::vector<std::vector<double>> traffic_engine::step_traces(
-    const engine_output& output) const
-{
-    const auto& result = detail(output);
-    return {result.step_offered_gbps, result.step_delivered_fraction,
-            result.step_p95_utilization};
+                       std::move(traces), std::move(result));
 }
 
 const traffic::traffic_sweep_result& traffic_engine::detail(const engine_output& output)
@@ -157,20 +119,13 @@ const traffic::traffic_sweep_result& traffic_engine::detail(const engine_output&
 
 bulk_engine::bulk_engine(std::vector<tempo::bulk_transfer_request> requests,
                          tempo::bulk_route_options options, bool per_step_baseline)
-    : requests_(std::move(requests)),
+    : metric_engine(per_step_baseline ? "bulk_per_step" : "bulk",
+                    {"offered_gb", "delivered_gb", "delivered_fraction",
+                     "max_buffer_gb"}),
+      requests_(std::move(requests)),
       options_(options),
-      per_step_baseline_(per_step_baseline),
-      name_(per_step_baseline ? "bulk_per_step" : "bulk")
+      per_step_baseline_(per_step_baseline)
 {
-}
-
-const std::string& bulk_engine::name() const noexcept { return name_; }
-
-const std::vector<std::string>& bulk_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{"offered_gb", "delivered_gb",
-                                               "delivered_fraction", "max_buffer_gb"};
-    return cols;
 }
 
 void bulk_engine::validate_options() const { tempo::validate(options_); }
@@ -189,7 +144,7 @@ engine_output bulk_engine::evaluate(const evaluation_context& context,
     const auto& r = result.routing;
     return make_output({r.offered_gb, r.delivered_gb, r.delivered_fraction,
                         r.max_buffer_gb},
-                       std::move(result));
+                       {}, std::move(result));
 }
 
 const tempo::bulk_sweep_result& bulk_engine::detail(const engine_output& output)
@@ -206,25 +161,16 @@ void validate(const percolation_engine_options& options)
 }
 
 percolation_engine::percolation_engine(percolation_engine_options options)
-    : options_(std::move(options))
+    : metric_engine("percolation",
+                    {"lambda2_mean", "lambda2_min", "giant_fraction_mean",
+                     "giant_fraction_min", "susceptibility_mean",
+                     "susceptibility_max", "clustering_mean",
+                     "masking_threshold_random_loss",
+                     "masking_threshold_plane_attack"},
+                    {"lambda2", "giant_component_fraction", "susceptibility",
+                     "clustering"}),
+      options_(std::move(options))
 {
-}
-
-const std::string& percolation_engine::name() const noexcept
-{
-    static const std::string name = "percolation";
-    return name;
-}
-
-const std::vector<std::string>& percolation_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "lambda2_mean",          "lambda2_min",
-        "giant_fraction_mean",   "giant_fraction_min",
-        "susceptibility_mean",   "susceptibility_max",
-        "clustering_mean",       "masking_threshold_random_loss",
-        "masking_threshold_plane_attack"};
-    return cols;
 }
 
 void percolation_engine::validate_options() const { validate(options_); }
@@ -242,26 +188,14 @@ engine_output percolation_engine::evaluate(
         threshold_random = thresholds.first;
         threshold_plane = thresholds.second;
     }
+    std::vector<std::vector<double>> traces{
+        result.step_lambda2, result.step_giant_fraction,
+        result.step_susceptibility, result.step_clustering};
     return make_output({result.lambda2_mean, result.lambda2_min,
                         result.giant_fraction_mean, result.giant_fraction_min,
                         result.susceptibility_mean, result.susceptibility_max,
                         result.clustering_mean, threshold_random, threshold_plane},
-                       std::move(result));
-}
-
-const std::vector<std::string>& percolation_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "lambda2", "giant_component_fraction", "susceptibility", "clustering"};
-    return cols;
-}
-
-std::vector<std::vector<double>> percolation_engine::step_traces(
-    const engine_output& output) const
-{
-    const auto& result = detail(output);
-    return {result.step_lambda2, result.step_giant_fraction,
-            result.step_susceptibility, result.step_clustering};
+                       std::move(traces), std::move(result));
 }
 
 const spectral::percolation_sweep_result& percolation_engine::detail(
@@ -292,27 +226,20 @@ std::pair<double, double> percolation_engine::masking_thresholds(
 
 serving_engine::serving_engine(const demand::population_model& population,
                                serve::serving_options options)
-    : population_(&population), options_(options)
+    : metric_engine("serving",
+                    {"sessions_homed", "sessions_active_mean",
+                     "offered_gbps_mean", "delivered_gbps_mean",
+                     "delivered_fraction", "served_fraction_mean",
+                     "min_step_served_fraction", "p50_session_rate_mbps",
+                     "p99_session_rate_mbps", "sessions_dropped_max",
+                     "sessions_degraded_max", "time_to_restore_s",
+                     "recovery_headroom"},
+                    {"served_fraction", "sessions_active", "sessions_dropped",
+                     "sessions_degraded", "p99_session_rate_mbps",
+                     "delivered_gbps"}),
+      population_(&population),
+      options_(options)
 {
-}
-
-const std::string& serving_engine::name() const noexcept
-{
-    static const std::string name = "serving";
-    return name;
-}
-
-const std::vector<std::string>& serving_engine::columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "sessions_homed",           "sessions_active_mean",
-        "offered_gbps_mean",        "delivered_gbps_mean",
-        "delivered_fraction",       "served_fraction_mean",
-        "min_step_served_fraction", "p50_session_rate_mbps",
-        "p99_session_rate_mbps",    "sessions_dropped_max",
-        "sessions_degraded_max",    "time_to_restore_s",
-        "recovery_headroom"};
-    return cols;
 }
 
 void serving_engine::validate_options() const { serve::validate(options_); }
@@ -333,6 +260,10 @@ engine_output serving_engine::evaluate(const evaluation_context& context,
         context.builder(), context.offsets(), context.positions(), timeline,
         grid(), options_);
     const auto& m = result.metrics;
+    std::vector<std::vector<double>> traces{
+        result.step_served_fraction,       result.step_sessions_active,
+        result.step_sessions_dropped,      result.step_sessions_degraded,
+        result.step_p99_session_rate_mbps, result.step_delivered_gbps};
     return make_output(
         {static_cast<double>(m.sessions_homed), m.sessions_active_mean,
          m.offered_gbps_mean, m.delivered_gbps_mean, m.delivered_fraction,
@@ -341,25 +272,7 @@ engine_output serving_engine::evaluate(const evaluation_context& context,
          static_cast<double>(m.sessions_dropped_max),
          static_cast<double>(m.sessions_degraded_max), m.time_to_restore_s,
          m.recovery_headroom},
-        std::move(result));
-}
-
-const std::vector<std::string>& serving_engine::step_columns() const noexcept
-{
-    static const std::vector<std::string> cols{
-        "served_fraction",   "sessions_active",
-        "sessions_dropped",  "sessions_degraded",
-        "p99_session_rate_mbps", "delivered_gbps"};
-    return cols;
-}
-
-std::vector<std::vector<double>> serving_engine::step_traces(
-    const engine_output& output) const
-{
-    const auto& result = detail(output);
-    return {result.step_served_fraction,       result.step_sessions_active,
-            result.step_sessions_dropped,      result.step_sessions_degraded,
-            result.step_p99_session_rate_mbps, result.step_delivered_gbps};
+        std::move(traces), std::move(result));
 }
 
 const serve::serving_sweep_result& serving_engine::detail(

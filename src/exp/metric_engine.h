@@ -1,11 +1,13 @@
 // Pluggable metric engines of the campaign API.
 //
 // A `metric_engine` judges one failure scenario against the shared
-// `evaluation_context` and reports a fixed set of named scalar columns plus
-// its full engine-typed result (for callers that need matrices, per-step
-// traces or per-request slots rather than the scalar table). Each engine
-// adapts the one `_timeline` entry point of its sweep — survivability
-// (`lsn::run_scenario_sweep_timeline`), delivered traffic
+// `evaluation_context` and reports a fixed set of named scalar columns, its
+// per-step degradation traces and its full engine-typed result (for
+// callers that need matrices or per-request slots rather than the scalar
+// table). An engine's name, columns and step columns are constructor data,
+// not overrides: `validate_options` and `evaluate` are its only behaviour.
+// Each engine adapts the one `_timeline` entry point of its sweep —
+// survivability (`lsn::run_scenario_sweep_timeline`), delivered traffic
 // (`traffic::run_traffic_sweep_timeline`), delay-tolerant bulk delivery
 // (`tempo::run_bulk_sweep_timeline`), structural robustness
 // (`spectral::run_percolation_sweep_timeline`) and user-level serving
@@ -33,6 +35,9 @@ namespace ssplane::exp {
 /// One engine's output for one scenario cell.
 struct engine_output {
     std::vector<double> values; ///< One per `metric_engine::columns()` entry.
+    /// One trace per `metric_engine::step_columns()` entry, each with one
+    /// value per sweep step. Feeds `campaign_result::write_step_csv`.
+    std::vector<std::vector<double>> step_traces;
     /// The engine-typed full result; read through the producing engine's
     /// static `detail()` accessor, which checks `detail_type` — asking an
     /// engine with a different result type for a cell is a
@@ -53,38 +58,43 @@ public:
 
     /// Stable short name, used to prefix the campaign's flattened columns
     /// ("traffic.delivered_fraction").
-    virtual const std::string& name() const noexcept = 0;
+    const std::string& name() const noexcept { return name_; }
 
     /// Names of the scalar columns `evaluate` fills, in order.
-    virtual const std::vector<std::string>& columns() const noexcept = 0;
+    const std::vector<std::string>& columns() const noexcept { return columns_; }
+
+    /// Names of the per-step degradation traces `evaluate` fills, in order —
+    /// empty when the engine has no per-step view.
+    const std::vector<std::string>& step_columns() const noexcept
+    {
+        return step_columns_;
+    }
 
     /// Reject degenerate engine options with a `contract_violation` before
     /// the campaign fans out, so errors surface serially and early.
     virtual void validate_options() const {}
 
     /// Judge one scenario (its pre-generated failure timeline) against the
-    /// shared context. Static scenarios arrive as single-row timelines and
-    /// must reproduce the legacy mask path bit-for-bit. Must be
+    /// shared context, filling one value per `columns()` entry and one
+    /// trace per `step_columns()` entry (each covering every sweep step).
+    /// Static scenarios arrive as single-row timelines. Must be
     /// bit-identical for any `SSPLANE_THREADS` value.
     virtual engine_output evaluate(const evaluation_context& context,
                                    const lsn::failure_timeline& timeline) const = 0;
 
-    /// Names of the per-step degradation traces this engine can extract
-    /// from a cell, in order — empty (the default) when the engine has no
-    /// per-step view. Feeds `campaign_result::write_step_csv`.
-    virtual const std::vector<std::string>& step_columns() const noexcept
+protected:
+    metric_engine(std::string name, std::vector<std::string> columns,
+                  std::vector<std::string> step_columns = {})
+        : name_(std::move(name)),
+          columns_(std::move(columns)),
+          step_columns_(std::move(step_columns))
     {
-        static const std::vector<std::string> none;
-        return none;
     }
 
-    /// The per-step traces behind one of this engine's cells, one vector
-    /// per `step_columns()` entry, each with one value per sweep step.
-    virtual std::vector<std::vector<double>> step_traces(
-        const engine_output& /*output*/) const
-    {
-        return {};
-    }
+private:
+    std::string name_;
+    std::vector<std::string> columns_;
+    std::vector<std::string> step_columns_;
 };
 
 /// Survivability: giant component, all-pairs reachability and latency
@@ -93,13 +103,10 @@ public:
 /// component drops below half, -1 = never) and `recovery_headroom`.
 class survivability_engine final : public metric_engine {
 public:
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
+    survivability_engine();
+
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
-    std::vector<std::vector<double>> step_traces(
-        const engine_output& output) const override;
 
     /// The full sweep result behind a cell this engine produced.
     static const lsn::scenario_sweep_result& detail(const engine_output& output);
@@ -114,14 +121,9 @@ public:
     explicit traffic_engine(const demand::demand_model& demand,
                             traffic::traffic_sweep_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
-    std::vector<std::vector<double>> step_traces(
-        const engine_output& output) const override;
 
     static const traffic::traffic_sweep_result& detail(const engine_output& output);
 
@@ -141,8 +143,6 @@ public:
                          tempo::bulk_route_options options = {},
                          bool per_step_baseline = false);
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
@@ -153,7 +153,6 @@ private:
     std::vector<tempo::bulk_transfer_request> requests_;
     tempo::bulk_route_options options_;
     bool per_step_baseline_;
-    std::string name_;
 };
 
 /// Knobs of the percolation engine.
@@ -183,14 +182,9 @@ class percolation_engine final : public metric_engine {
 public:
     explicit percolation_engine(percolation_engine_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
-    std::vector<std::vector<double>> step_traces(
-        const engine_output& output) const override;
 
     static const spectral::percolation_sweep_result& detail(
         const engine_output& output);
@@ -221,14 +215,9 @@ public:
     explicit serving_engine(const demand::population_model& population,
                             serve::serving_options options = {});
 
-    const std::string& name() const noexcept override;
-    const std::vector<std::string>& columns() const noexcept override;
     void validate_options() const override;
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline& timeline) const override;
-    const std::vector<std::string>& step_columns() const noexcept override;
-    std::vector<std::vector<double>> step_traces(
-        const engine_output& output) const override;
 
     static const serve::serving_sweep_result& detail(const engine_output& output);
 

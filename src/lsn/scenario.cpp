@@ -109,8 +109,9 @@ network_snapshot snapshot_builder::snapshot_from_positions(
     const std::vector<vec3>& sat_positions_ecef,
     std::span<const std::uint8_t> failed) const
 {
-    // Rebuild count + time: the figure the ROADMAP's per-mask snapshot
-    // sharing wants to cut (campaigns rebuild per (cell, step) today).
+    // Build count + time. A campaign builds one snapshot per (cell, step)
+    // plus those of the greedy adversary's oracle sweeps in the timeline
+    // prefetch, which outnumber the cells' builds on adversary campaigns.
     OBS_SPAN("lsn.snapshot.build");
     OBS_COUNT("lsn.snapshot.builds");
     expects(sat_positions_ecef.size() == propagators_.size(),

@@ -219,11 +219,11 @@ TEST(Campaign, SharedMasksAreDedupedAcrossEngines)
                                      short_grid());
 
     // 4 scenarios x 3 engines = 12 cells, but only 4 distinct draws —
-    // every engine of a row shares that row's mask.
+    // every engine of a row shares that row's timeline.
     const auto campaign =
         run_campaign(mixed_plan(lsn::plane_count(topo), 11), context);
     ASSERT_EQ(campaign.cells.size(), 12u);
-    EXPECT_EQ(context.mask_cache_size(), 4u);
+    EXPECT_EQ(context.timeline_cache_size(), 4u);
 }
 
 TEST(Campaign, CellsSharingAMaskEvaluateOnce)
@@ -243,7 +243,7 @@ TEST(Campaign, CellsSharingAMaskEvaluateOnce)
                     std::make_shared<traffic_engine>(test_demand())};
     const auto campaign = run_campaign(plan, context);
     ASSERT_EQ(campaign.rows.size(), 3u);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
     for (int r = 1; r < 3; ++r) {
         EXPECT_EQ(campaign.cell(r, 0).detail.get(), campaign.cell(0, 0).detail.get());
         EXPECT_EQ(campaign.cell(r, 1).detail.get(), campaign.cell(0, 1).detail.get());
@@ -449,6 +449,66 @@ TEST(Campaign, TimelineScenariosRunThroughAllEnginesBitIdenticallyAcrossThreads)
     }
 }
 
+TEST(Campaign, SurvivabilityAndPercolationGiantComponentsAgreeEveryStep)
+{
+    // Two independent giant-component implementations: survivability runs
+    // `lsn::giant_component_fraction` over the snapshot adjacency,
+    // percolation its own union-find over the compacted alive subgraph.
+    // Both must report the same fraction at every step of every scenario.
+    const auto topo = small_walker();
+    const auto stations = traffic::stations_from_cities(4);
+    const auto epoch = astro::instant::from_calendar(2014, 4, 1, 0, 0, 0.0);
+
+    experiment_plan plan;
+    plan.scenarios = timeline_scenarios(lsn::plane_count(topo));
+    plan.scenarios.pop_back(); // The greedy adversary needs a traffic oracle.
+    lsn::failure_scenario loss;
+    loss.mode = lsn::failure_mode::random_loss;
+    loss.loss_fraction = 0.4;
+    loss.seed = 11;
+    plan.scenarios.push_back({"random_40", loss});
+    lsn::failure_scenario attack;
+    attack.mode = lsn::failure_mode::plane_attack;
+    attack.planes_attacked = 2;
+    attack.seed = 11;
+    plan.scenarios.push_back({"attack_2", attack});
+    percolation_engine_options percolation;
+    percolation.compute_masking_thresholds = false;
+    plan.engines = {std::make_shared<survivability_engine>(),
+                    std::make_shared<percolation_engine>(percolation)};
+
+    const evaluation_context context(topo, stations, epoch, short_grid());
+    const auto campaign = run_campaign(plan, context);
+    const auto trace = [&](int row, const char* engine, const char* name) {
+        const int e = campaign.engine_index(engine);
+        const auto& names = plan.engines[static_cast<std::size_t>(e)]->step_columns();
+        const auto column = std::find(names.begin(), names.end(), name);
+        EXPECT_NE(column, names.end()) << engine << "." << name;
+        return campaign.cell(row, e).step_traces.at(
+            static_cast<std::size_t>(column - names.begin()));
+    };
+
+    // Fragmented: the giant component holds fewer than all alive satellites.
+    bool fragmented = false;
+    const double n = static_cast<double>(topo.satellites.size());
+    for (int r = 0; r < static_cast<int>(campaign.rows.size()); ++r) {
+        const auto survivability =
+            trace(r, "survivability", "giant_component_fraction");
+        const auto percolation_trace =
+            trace(r, "percolation", "giant_component_fraction");
+        const auto n_failed = trace(r, "survivability", "n_failed");
+        ASSERT_EQ(survivability.size(), campaign.step_offsets_s.size());
+        ASSERT_EQ(percolation_trace.size(), survivability.size());
+        for (std::size_t i = 0; i < survivability.size(); ++i) {
+            EXPECT_EQ(survivability[i], percolation_trace[i])
+                << campaign.rows[static_cast<std::size_t>(r)].name << " step " << i;
+            fragmented = fragmented || survivability[i] * n < n - n_failed[i];
+        }
+    }
+    // The comparison covers broken graphs, not only intact ones.
+    EXPECT_TRUE(fragmented);
+}
+
 TEST(Campaign, AdversaryScenariosRequireTheOracle)
 {
     const auto topo = small_walker(4, 4);
@@ -465,7 +525,7 @@ TEST(Campaign, AdversaryScenariosRequireTheOracle)
     EXPECT_THROW(run_campaign(plan, context), contract_violation);
 }
 
-TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
+TEST(Campaign, TimelinesAreCachedForStaticAndTimelineModes)
 {
     const auto topo = small_walker(4, 4);
     const auto stations = traffic::stations_from_cities(4);
@@ -484,10 +544,8 @@ TEST(Campaign, TimelinesAreCachedAndStaticModesStillFillTheMaskCache)
                     std::make_shared<traffic_engine>(test_demand())};
     const auto campaign = run_campaign(plan, context);
 
-    // One timeline per distinct scenario; the static baseline still drew
-    // through the mask cache (legacy dedup contract intact).
+    // One timeline per distinct scenario, static or not.
     EXPECT_EQ(context.timeline_cache_size(), 2u);
-    EXPECT_EQ(context.mask_cache_size(), 1u);
 
     // Rows sharing a timeline share the evaluation; distinct ones do not.
     const auto again = run_campaign(plan, context);

@@ -72,7 +72,8 @@ TEST(ServingEngine, ReportsUserSlosThroughTheCampaignTable)
     const auto stations = lsn::default_ground_stations();
     const evaluation_context context(topo, stations, astro::instant::j2000(),
                                      short_grid());
-    const auto campaign = run_campaign(serving_plan(), context);
+    const auto plan = serving_plan();
+    const auto campaign = run_campaign(plan, context);
     ASSERT_EQ(campaign.rows.size(), 2u);
 
     // Every serving column lands in the flattened table with the engine
@@ -94,7 +95,7 @@ TEST(ServingEngine, ReportsUserSlosThroughTheCampaignTable)
     }
     // Both rows serve the *same* lazily-sampled session grid.
     const auto engine = std::dynamic_pointer_cast<const serving_engine>(
-        campaign.engines[campaign.engine_index("serving")]);
+        plan.engines[static_cast<std::size_t>(campaign.engine_index("serving"))]);
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(static_cast<double>(engine->grid().total_sessions),
               campaign.value(0, "serving.sessions_homed"));
@@ -190,38 +191,31 @@ TEST(ServingEngine, DegenerateOptionsRejectedBeforeAnyCellEvaluates)
 }
 
 /// Minimal engine with NO scalar columns and one step-trace column — the
-/// shape that used to slip past the scalar-column collision guard.
+/// shape that used to slip past the scalar-column collision guard. It
+/// returns `n_traces` traces of `n_steps + extra_steps` values, so the
+/// defaults honour its one step column and anything else breaks it.
 class step_only_engine final : public metric_engine {
 public:
-    const std::string& name() const noexcept override
+    explicit step_only_engine(std::size_t n_traces = 1, std::size_t extra_steps = 0)
+        : metric_engine("stepper", {}, {"x"}),
+          n_traces_(n_traces),
+          extra_steps_(extra_steps)
     {
-        static const std::string name = "stepper";
-        return name;
     }
-    const std::vector<std::string>& columns() const noexcept override
-    {
-        static const std::vector<std::string> none;
-        return none;
-    }
+
     engine_output evaluate(const evaluation_context& context,
                            const lsn::failure_timeline&) const override
     {
         engine_output out;
-        out.detail = std::make_shared<const std::vector<double>>(
-            context.offsets().size(), 0.0);
-        out.detail_type = &typeid(std::vector<double>);
+        out.step_traces.assign(
+            n_traces_,
+            std::vector<double>(context.offsets().size() + extra_steps_, 0.0));
         return out;
     }
-    const std::vector<std::string>& step_columns() const noexcept override
-    {
-        static const std::vector<std::string> cols{"x"};
-        return cols;
-    }
-    std::vector<std::vector<double>> step_traces(
-        const engine_output& output) const override
-    {
-        return {*static_cast<const std::vector<double>*>(output.detail.get())};
-    }
+
+private:
+    std::size_t n_traces_;
+    std::size_t extra_steps_;
 };
 
 TEST(ServingEngine, StepTraceColumnCollisionsFailLoudly)
@@ -241,6 +235,22 @@ TEST(ServingEngine, StepTraceColumnCollisionsFailLoudly)
     const auto campaign = run_campaign(plan, context);
     ASSERT_EQ(campaign.step_columns.size(), 1u);
     EXPECT_EQ(campaign.step_columns[0], "stepper.x");
+}
+
+TEST(ServingEngine, CellsBreakingTheStepTraceContractFailTheCampaign)
+{
+    const auto topo = small_walker();
+    const evaluation_context context(topo, lsn::default_ground_stations(),
+                                     astro::instant::j2000(), short_grid());
+    experiment_plan plan;
+    plan.scenarios.push_back({"baseline", {}});
+
+    // One trace too many for the declared step columns.
+    plan.engines = {std::make_shared<step_only_engine>(2)};
+    EXPECT_THROW(run_campaign(plan, context), contract_violation);
+    // A trace longer than the sweep grid.
+    plan.engines = {std::make_shared<step_only_engine>(1, 1)};
+    EXPECT_THROW(run_campaign(plan, context), contract_violation);
 }
 
 } // namespace
