@@ -1,10 +1,11 @@
 #include "traffic/adversary.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "util/expects.h"
+#include "util/parallel.h"
 
 namespace ssplane::traffic {
 
@@ -64,25 +65,31 @@ lsn::failure_timeline generate_adversary_timeline(
         if (strike_step >= n_steps) break; // schedule ran past the horizon
 
         // Greedy choice: trial-kill every surviving plane and keep the one
-        // that leaves the least delivered traffic. The candidate loop is
-        // serial (each inner sweep parallelizes over steps), so the argmin
-        // and its lowest-index tie-break never depend on the thread count.
-        int best_plane = -1;
-        double best_delivered = std::numeric_limits<double>::infinity();
-        for (int p = 0; p < n_planes; ++p) {
-            if (plane_dead[static_cast<std::size_t>(p)]) continue;
-            auto trial = current;
-            kill_plane(p, trial);
-            const auto sweep = run_traffic_sweep_timeline(
-                builder, eval_offsets, eval_positions,
-                lsn::failure_timeline::from_static_mask(std::move(trial)), demand,
-                options);
-            if (sweep.metrics.delivered_gbps_mean < best_delivered) {
-                best_delivered = sweep.metrics.delivered_gbps_mean;
-                best_plane = p;
-            }
-        }
-        if (best_plane < 0) break; // every plane already dead
+        // that leaves the least delivered traffic. Candidates are scored in
+        // parallel over the pool; each inner sweep then runs on its serial
+        // path, bit-identical by the sweep's own contract. The argmin is a
+        // serial scan in plane order with a strict `<`, so the choice and its
+        // lowest-index tie-break never depend on the thread count.
+        std::vector<int> candidates;
+        for (int p = 0; p < n_planes; ++p)
+            if (!plane_dead[static_cast<std::size_t>(p)]) candidates.push_back(p);
+        if (candidates.empty()) break; // every plane already dead
+        OBS_COUNT("traffic.adversary.strikes");
+        OBS_COUNT_N("traffic.adversary.candidates", candidates.size());
+        const auto delivered = parallel_map<double>(
+            candidates.size(), [&](std::size_t c) {
+                auto trial = current;
+                kill_plane(candidates[c], trial);
+                return run_traffic_sweep_timeline(
+                           builder, eval_offsets, eval_positions,
+                           lsn::failure_timeline::from_static_mask(std::move(trial)),
+                           demand, options)
+                    .metrics.delivered_gbps_mean;
+            });
+        std::size_t best = 0;
+        for (std::size_t c = 1; c < delivered.size(); ++c)
+            if (delivered[c] < delivered[best]) best = c;
+        const int best_plane = candidates[best];
 
         // Rows up to the strike keep the pre-strike mask; the strike lands
         // at `strike_step` and is permanent.

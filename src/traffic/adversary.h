@@ -13,8 +13,11 @@
 // flow-assignment layer and cannot see it.
 //
 // The search is entirely deterministic (no RNG): exhaustive candidate
-// evaluation with lowest-plane-index tie-breaking, so repeated runs and
-// any `SSPLANE_THREADS` value produce one timeline bit-for-bit.
+// evaluation with lowest-plane-index tie-breaking. Each strike scores its
+// candidates in parallel across the thread pool (one serial inner sweep
+// per candidate) and picks the argmin in a serial plane-order scan, so
+// repeated runs and any `SSPLANE_THREADS` value produce one timeline
+// bit-for-bit.
 #ifndef SSPLANE_TRAFFIC_ADVERSARY_H
 #define SSPLANE_TRAFFIC_ADVERSARY_H
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "lsn/routing.h"
 #include "obs/metrics.h"
@@ -18,31 +16,58 @@ namespace {
 
 constexpr double flow_eps_gbps = 1e-9;
 
+/// Index of the first slot in `out` that leads to `to`, or -1.
+int first_slot_to(const std::vector<lsn::network_snapshot::edge>& out, int to)
+{
+    for (std::size_t j = 0; j < out.size(); ++j)
+        if (out[j].to == to) return static_cast<int>(j);
+    return -1;
+}
+
 /// Undirected edge ids over a snapshot: `links` in deterministic (node,
-/// adjacency) order plus a (min,max)-keyed lookup for path walks.
+/// adjacency) order, plus the link id of every adjacency slot, laid out
+/// like `snapshot.adjacency` (node u's slots start at `first_slot[u]`). A
+/// pair listed twice maps both slots to its first link.
 struct edge_table {
     std::vector<link_load> links;
-    // DETLINT-ALLOW(unordered-iteration): lookup-only (at/emplace); every
-    // walk over the edge set iterates `links`, which is built in
-    // deterministic (node, adjacency) order.
-    std::unordered_map<std::uint64_t, int> id;
+    std::vector<std::size_t> first_slot;
+    std::vector<int> slot_id;
 
-    static std::uint64_t key(int a, int b)
+    int id_at(int u, std::size_t j) const
     {
-        const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-        const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-        return (lo << 32) | hi;
+        return slot_id[first_slot[static_cast<std::size_t>(u)] + j];
     }
-    int id_of(int a, int b) const { return id.at(key(a, b)); }
+    /// Link id of (a, b), by a scan of `a`'s handful of adjacency slots.
+    int id_of(const lsn::network_snapshot& snapshot, int a, int b) const
+    {
+        const int j = first_slot_to(snapshot.adjacency[static_cast<std::size_t>(a)], b);
+        expects(j >= 0, "path step is not a snapshot link");
+        return id_at(a, static_cast<std::size_t>(j));
+    }
 };
 
 edge_table build_edge_table(const lsn::network_snapshot& snapshot,
                             const capacity_options& options)
 {
     edge_table table;
+    table.first_slot.reserve(snapshot.adjacency.size());
     for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            if (e.to <= u) continue;
+        const auto& out = snapshot.adjacency[static_cast<std::size_t>(u)];
+        table.first_slot.push_back(table.slot_id.size());
+        for (std::size_t j = 0; j < out.size(); ++j) {
+            const auto& e = out[j];
+            expects(e.to != u, "snapshot links must join distinct nodes");
+            if (e.to < u) {
+                // The lower endpoint's row, already numbered, made the link.
+                const int back =
+                    first_slot_to(snapshot.adjacency[static_cast<std::size_t>(e.to)], u);
+                expects(back >= 0, "snapshot adjacency must be symmetric");
+                table.slot_id.push_back(table.id_at(e.to, static_cast<std::size_t>(back)));
+                continue;
+            }
+            const auto first = static_cast<std::size_t>(first_slot_to(out, e.to));
+            table.slot_id.push_back(first < j ? table.id_at(u, first)
+                                              : static_cast<int>(table.links.size()));
             link_load link;
             link.a = u;
             link.b = e.to;
@@ -50,8 +75,6 @@ edge_table build_edge_table(const lsn::network_snapshot& snapshot,
             link.uplink = u >= snapshot.n_satellites || e.to >= snapshot.n_satellites;
             link.capacity_gbps = link.uplink ? options.uplink_capacity_gbps
                                              : options.isl_capacity_gbps;
-            table.id.emplace(edge_table::key(u, e.to),
-                             static_cast<int>(table.links.size()));
             table.links.push_back(link);
         }
     }
@@ -71,8 +94,10 @@ lsn::network_snapshot make_weight_graph(const lsn::network_snapshot& snapshot,
     weights.adjacency.resize(snapshot.adjacency.size());
     for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
         auto& out = weights.adjacency[static_cast<std::size_t>(u)];
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            const auto& link = table.links[static_cast<std::size_t>(table.id_of(u, e.to))];
+        const auto& in = snapshot.adjacency[static_cast<std::size_t>(u)];
+        for (std::size_t j = 0; j < in.size(); ++j) {
+            const auto& e = in[j];
+            const auto& link = table.links[static_cast<std::size_t>(table.id_at(u, j))];
             if (link.capacity_gbps - link.load_gbps <= flow_eps_gbps) continue;
             out.push_back({e.to, e.latency_s * (1.0 + options.congestion_penalty *
                                                           link.utilization())});
@@ -83,23 +108,25 @@ lsn::network_snapshot make_weight_graph(const lsn::network_snapshot& snapshot,
 
 /// Route as much of `remaining` as fits along `path` (node indices),
 /// bounded by the bottleneck residual capacity. Returns the flow placed.
-double place_flow_on_path(const std::vector<int>& path, double remaining,
+double place_flow_on_path(const lsn::network_snapshot& snapshot,
+                          const std::vector<int>& path, double remaining,
                           edge_table& table, double& latency_flow_sum_s)
 {
     if (path.size() < 2) return 0.0;
+    const auto hop = [&](std::size_t i) -> link_load& {
+        return table.links[static_cast<std::size_t>(
+            table.id_of(snapshot, path[i - 1], path[i]))];
+    };
     double bottleneck = std::numeric_limits<double>::infinity();
     double path_latency_s = 0.0;
     for (std::size_t i = 1; i < path.size(); ++i) {
-        const auto& link =
-            table.links[static_cast<std::size_t>(table.id_of(path[i - 1], path[i]))];
+        const auto& link = hop(i);
         bottleneck = std::min(bottleneck, link.capacity_gbps - link.load_gbps);
         path_latency_s += link.latency_s;
     }
     const double flow = std::min(remaining, bottleneck);
     if (flow <= flow_eps_gbps) return 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i)
-        table.links[static_cast<std::size_t>(table.id_of(path[i - 1], path[i]))]
-            .load_gbps += flow;
+    for (std::size_t i = 1; i < path.size(); ++i) hop(i).load_gbps += flow;
     latency_flow_sum_s += flow * path_latency_s;
     return flow;
 }
@@ -183,8 +210,8 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
                 if (rebuild_per_pair)
                     weights = make_weight_graph(snapshot, table, options);
                 const auto path = route_pair(weights, round, a, b);
-                const double flow = place_flow_on_path(path, pair_remaining, table,
-                                                       latency_flow_sum_s);
+                const double flow = place_flow_on_path(snapshot, path, pair_remaining,
+                                                       table, latency_flow_sum_s);
                 if (flow <= 0.0) continue;
                 pair_remaining -= flow;
                 total_remaining -= flow;

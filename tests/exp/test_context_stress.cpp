@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "traffic/adversary.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -157,6 +158,47 @@ TEST(EvaluationContextStress, ArmingRacesLookupWithoutTearing)
         armer.join();
         looker.join();
         EXPECT_EQ(context.timeline_cache_size(), 8u);
+    }
+}
+
+TEST(EvaluationContextStress, RacingAdversaryLookupsShareThePoolAndOneTimeline)
+{
+    // Two non-pool threads race the first greedy_adversary lookup on one
+    // armed context. Each generation fans its candidate scoring out onto
+    // the one shared pool, so the two fan-outs interleave on the same
+    // workers; the cached timeline must still equal a fresh single-thread
+    // generation.
+    const auto topo = small_walker(4, 4);
+    static const demand::population_model population;
+    const demand::demand_model demand(population);
+    lsn::failure_scenario adversary;
+    adversary.mode = lsn::failure_mode::greedy_adversary;
+    adversary.adversary_budget = 2;
+    adversary.adversary_first_strike_step = 1;
+    adversary.adversary_strike_interval_steps = 2;
+
+    set_thread_count(4);
+    evaluation_context context(topo, lsn::default_ground_stations(),
+                               astro::instant::j2000(), short_grid());
+    context.set_adversary_oracle(demand);
+    std::vector<const lsn::failure_timeline*> seen(2, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back(
+            [t, &context, &adversary, &seen] { seen[t] = &context.timeline(adversary); });
+    for (auto& t : threads) t.join();
+
+    set_thread_count(1);
+    const auto expected = traffic::generate_adversary_timeline(
+        context.builder(), context.offsets(), context.positions(), adversary, demand);
+    set_thread_count(0);
+
+    EXPECT_EQ(context.timeline_cache_size(), 1u);
+    EXPECT_EQ(expected.final_n_failed(), 8);
+    for (const auto* timeline : seen) {
+        ASSERT_NE(timeline, nullptr);
+        EXPECT_EQ(timeline, seen[0]);
+        EXPECT_EQ(timeline->masks, expected.masks);
     }
 }
 

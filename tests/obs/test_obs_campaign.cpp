@@ -3,6 +3,7 @@
 // summary — all on a real mixed campaign.
 #include "exp/campaign.h"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,6 +120,47 @@ TEST(ObsCampaign, DeterministicCountersAreBitIdenticalAcrossThreadCounts)
     EXPECT_GT(value_of("pool.parallel_regions"), 0.0);
     EXPECT_GT(value_of("traffic.assign.calls"), 0.0);
     EXPECT_GT(value_of("tempo.graph.builds"), 0.0);
+}
+
+TEST(ObsCampaign, AdversaryCountersTallyStrikesAndCandidatesAtAnyThreadCount)
+{
+    // 4 planes on a 6-step grid, strikes every step from step 0: one strike
+    // per unit of budget, each scoring every plane still alive. Budget 2
+    // scores 4 + 3 candidates, budget 4 scores 4 + 3 + 2 + 1.
+    const obs_sandbox sandbox;
+    const auto topo = small_walker();
+    const auto stations = traffic::stations_from_cities(4);
+    auto grid = short_grid();
+    grid.duration_s = 5400.0;
+    grid.step_s = 900.0;
+    const auto counter = [](const char* name) {
+        return obs::registry::instance().get_counter(name).value();
+    };
+
+    struct expectation {
+        int budget;
+        std::uint64_t strikes;
+        std::uint64_t candidates;
+    };
+    for (const auto& want : {expectation{2, 2, 7}, expectation{4, 4, 10}}) {
+        lsn::failure_scenario adversary;
+        adversary.mode = lsn::failure_mode::greedy_adversary;
+        adversary.adversary_budget = want.budget;
+        adversary.adversary_first_strike_step = 0;
+        adversary.adversary_strike_interval_steps = 1;
+        for (const unsigned threads : {1u, 4u}) {
+            set_thread_count(threads);
+            evaluation_context context(topo, stations, astro::instant::j2000(), grid);
+            context.set_adversary_oracle(test_demand());
+            obs::registry::instance().reset();
+            const auto& timeline = context.timeline(adversary);
+            EXPECT_EQ(timeline.final_n_failed(), 6 * static_cast<int>(want.strikes));
+            EXPECT_EQ(counter("traffic.adversary.strikes"), want.strikes)
+                << "budget " << want.budget << ", " << threads << " threads";
+            EXPECT_EQ(counter("traffic.adversary.candidates"), want.candidates)
+                << "budget " << want.budget << ", " << threads << " threads";
+        }
+    }
 }
 
 TEST(ObsCampaign, TraceCoversPoolExpLsnTrafficAndTempoSubsystems)

@@ -1,6 +1,8 @@
 #include "traffic/adversary.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,6 +54,71 @@ lsn::failure_scenario adversary_scenario(int budget, int interval = 2,
     s.adversary_strike_interval_steps = interval;
     s.adversary_first_strike_step = first;
     return s;
+}
+
+/// The greedy oracle as a plain serial loop: trial-kill each surviving
+/// plane in index order, score it with one traffic sweep on the strided
+/// grid and keep the strict-`<` argmin. The generator must reproduce it.
+lsn::failure_timeline serial_reference_timeline(
+    const lsn::snapshot_builder& builder, const std::vector<double>& offsets,
+    const std::vector<std::vector<vec3>>& positions,
+    const lsn::failure_scenario& scenario, const traffic_sweep_options& options)
+{
+    const auto& topo = builder.topology();
+    const int n = builder.n_satellites();
+    const int n_steps = static_cast<int>(offsets.size());
+    std::vector<double> eval_offsets;
+    std::vector<std::vector<vec3>> eval_positions;
+    for (int i = 0; i < n_steps; i += scenario.adversary_eval_stride) {
+        eval_offsets.push_back(offsets[static_cast<std::size_t>(i)]);
+        eval_positions.push_back(positions[static_cast<std::size_t>(i)]);
+    }
+    const auto kill_plane = [&](int p, std::vector<std::uint8_t>& mask) {
+        for (int s = 0; s < n; ++s)
+            if (topo.satellites[static_cast<std::size_t>(s)].plane == p)
+                mask[static_cast<std::size_t>(s)] = 1;
+    };
+
+    std::vector<std::uint8_t> current(static_cast<std::size_t>(n), 0);
+    std::vector<bool> dead(static_cast<std::size_t>(lsn::plane_count(topo)), false);
+    std::vector<int> strike_plane(static_cast<std::size_t>(n_steps), -1);
+    for (int strike = 0; strike < scenario.adversary_budget; ++strike) {
+        const int step = scenario.adversary_first_strike_step +
+                         strike * scenario.adversary_strike_interval_steps;
+        if (step >= n_steps) break;
+        int best_plane = -1;
+        double best_delivered = std::numeric_limits<double>::infinity();
+        for (int p = 0; p < static_cast<int>(dead.size()); ++p) {
+            if (dead[static_cast<std::size_t>(p)]) continue;
+            auto trial = current;
+            kill_plane(p, trial);
+            const double delivered =
+                run_traffic_sweep_timeline(
+                    builder, eval_offsets, eval_positions,
+                    lsn::failure_timeline::from_static_mask(std::move(trial)),
+                    test_demand(), options)
+                    .metrics.delivered_gbps_mean;
+            if (delivered < best_delivered) {
+                best_delivered = delivered;
+                best_plane = p;
+            }
+        }
+        if (best_plane < 0) break;
+        dead[static_cast<std::size_t>(best_plane)] = true;
+        kill_plane(best_plane, current);
+        strike_plane[static_cast<std::size_t>(step)] = best_plane;
+    }
+
+    lsn::failure_timeline timeline;
+    timeline.n_satellites = n;
+    timeline.n_steps = n_steps;
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(n), 0);
+    for (int i = 0; i < n_steps; ++i) {
+        if (strike_plane[static_cast<std::size_t>(i)] >= 0)
+            kill_plane(strike_plane[static_cast<std::size_t>(i)], row);
+        timeline.masks.insert(timeline.masks.end(), row.begin(), row.end());
+    }
+    return timeline;
 }
 
 TEST(Adversary, TimelineFollowsTheStrikeSchedule)
@@ -116,21 +183,23 @@ TEST(Adversary, DeterministicAcrossThreadCountsAndRepeats)
                                         deg2rad(25.0));
     const auto offsets = hourly_offsets(6);
     const auto positions = builder.positions_at_offsets(offsets);
-    const auto scenario = adversary_scenario(2);
+    const auto scenario = adversary_scenario(3);
 
-    std::vector<lsn::failure_timeline> runs;
+    // Every run, at any thread count, equals the plain serial loop.
+    set_thread_count(1);
+    const auto reference =
+        serial_reference_timeline(builder, offsets, positions, scenario, {});
+    EXPECT_EQ(reference.final_n_failed(), 18);
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        runs.push_back(generate_adversary_timeline(builder, offsets, positions,
-                                                   scenario, test_demand()));
-        runs.push_back(generate_adversary_timeline(builder, offsets, positions,
-                                                   scenario, test_demand()));
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            const auto timeline = generate_adversary_timeline(
+                builder, offsets, positions, scenario, test_demand());
+            EXPECT_EQ(timeline.n_steps, reference.n_steps) << threads << " threads";
+            EXPECT_EQ(timeline.masks, reference.masks) << threads << " threads";
+        }
     }
     set_thread_count(0);
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[i].n_steps, runs[0].n_steps);
-        EXPECT_EQ(runs[i].masks, runs[0].masks);
-    }
 }
 
 TEST(Adversary, GreedyDamageAtLeastMatchesRandomPlaneAttacks)
@@ -198,6 +267,39 @@ TEST(Adversary, StridedOracleStillStrikesAndScenarioSweepRoutesHere)
               via_timeline.metrics.delivered_gbps_mean);
     EXPECT_EQ(via_static.step_delivered_fraction,
               via_timeline.step_delivered_fraction);
+}
+
+TEST(Adversary, AllTiedCandidatesFallToTheLowestPlaneIndex)
+{
+    // No demand: every candidate delivers exactly 0 Gbps, so each strike is
+    // a full tie and must take the lowest surviving plane index.
+    const auto topo = small_walker();
+    const auto stations = stations_from_cities(4);
+    const lsn::snapshot_builder builder(topo, stations, astro::instant::j2000(),
+                                        deg2rad(25.0));
+    const auto offsets = hourly_offsets(6);
+    const auto positions = builder.positions_at_offsets(offsets);
+    traffic_sweep_options options;
+    options.matrix.total_demand_gbps = 0.0;
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        set_thread_count(threads);
+        const auto timeline =
+            generate_adversary_timeline(builder, offsets, positions,
+                                        adversary_scenario(3), test_demand(), options);
+        // Strikes at steps 1, 3 and 5 take planes 0, 1 and 2 in turn.
+        for (int step = 0; step < 6; ++step) {
+            const int planes_dead = (step + 1) / 2;
+            const auto row = timeline.step(step);
+            for (int s = 0; s < 36; ++s) {
+                const int plane = topo.satellites[static_cast<std::size_t>(s)].plane;
+                EXPECT_EQ(row[static_cast<std::size_t>(s)] != 0, plane < planes_dead)
+                    << "step " << step << ", satellite " << s << ", " << threads
+                    << " threads";
+            }
+        }
+    }
+    set_thread_count(0);
 }
 
 TEST(Adversary, RejectsNonAdversaryScenarios)
