@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "astro/propagator.h"
 #include "geo/coverage.h"
@@ -15,11 +14,10 @@ namespace ssplane::constellation {
 
 namespace {
 
-
-/// Is `point` (unit) within central angle `lambda` of any satellite
-/// direction? `dirs` must be sorted by z.
-bool point_covered(const vec3& point, std::span<const vec3> dirs,
-                   double cos_lambda, double lambda_rad)
+/// Satellites within central angle `lambda` of `point` (unit), counted up
+/// to `cap`: the scan stops at the `cap`-th one. `dirs` must be sorted by z.
+int covering_count(const vec3& point, std::span<const vec3> dirs,
+                   double cos_lambda, double lambda_rad, int cap)
 {
     // Only satellites within +-lambda of the point's latitude can cover it.
     const double lat_p = safe_asin(point.z);
@@ -28,35 +26,10 @@ bool point_covered(const vec3& point, std::span<const vec3> dirs,
 
     auto lo = std::lower_bound(dirs.begin(), dirs.end(), z_lo,
                                [](const vec3& v, double z) { return v.z < z; });
-    for (auto it = lo; it != dirs.end() && it->z <= z_hi; ++it) {
-        if (point.dot(*it) >= cos_lambda) return true;
-    }
-    return false;
-}
-
-int point_coverage_count(const vec3& point, std::span<const vec3> dirs,
-                         double cos_lambda, double lambda_rad)
-{
-    const double lat_p = safe_asin(point.z);
-    const double z_lo = std::sin(std::max(-pi / 2.0, lat_p - lambda_rad));
-    const double z_hi = std::sin(std::min(pi / 2.0, lat_p + lambda_rad));
-
-    auto lo = std::lower_bound(dirs.begin(), dirs.end(), z_lo,
-                               [](const vec3& v, double z) { return v.z < z; });
     int count = 0;
-    for (auto it = lo; it != dirs.end() && it->z <= z_hi; ++it) {
-        if (point.dot(*it) >= cos_lambda) ++count;
-    }
+    for (auto it = lo; it != dirs.end() && it->z <= z_hi; ++it)
+        if (point.dot(*it) >= cos_lambda && ++count == cap) break;
     return count;
-}
-
-std::vector<astro::j2_propagator> make_orbits(std::span<const satellite> sats,
-                                              const astro::instant& epoch)
-{
-    std::vector<astro::j2_propagator> orbits;
-    orbits.reserve(sats.size());
-    for (const auto& s : sats) orbits.emplace_back(s.elements, epoch);
-    return orbits;
 }
 
 /// The test points rotate with the Earth; equivalently (and cheaper) we
@@ -76,30 +49,38 @@ std::vector<vec3> satellite_directions_ecef(std::span<const astro::j2_propagator
     return dirs;
 }
 
-struct check_context {
-    std::vector<astro::j2_propagator> orbits;
-    std::vector<vec3> points;
-    double lambda_rad = 0.0;
-    double cos_lambda = 1.0;
-    double nodal_day_s = astro::seconds_per_day;
-};
-
-check_context make_context(std::span<const satellite> sats,
-                           const astro::instant& epoch,
-                           const coverage_check_options& options)
+/// The one (time step x test point) loop of the coverage checks: visits
+/// every sample of one nodal day in time-major order with its covering
+/// count (capped at `cap`), until `visit(count)` returns false.
+template <class Visit>
+void sample_coverage(std::span<const satellite> sats, const astro::instant& epoch,
+                     const coverage_check_options& options, int cap, Visit&& visit)
 {
     expects(!sats.empty(), "coverage check needs satellites");
-    check_context ctx;
-    ctx.orbits = make_orbits(sats, epoch);
-    ctx.points = coverage_test_points(options.max_latitude_deg, options.grid_spacing_deg);
-    const auto cov = geo::coverage_geometry::from(sats[0].elements.semi_major_axis_m -
-                                                      astro::earth_mean_radius_m,
-                                                  options.min_elevation_rad);
-    ctx.lambda_rad = cov.earth_central_half_angle_rad;
-    ctx.cos_lambda = std::cos(ctx.lambda_rad);
-    ctx.nodal_day_s = ctx.orbits.front().nodal_day_s();
-    return ctx;
+    // Zero samples would make "covered at every sample" vacuously true.
+    expects(options.n_time_steps >= 1, "coverage check needs at least one time step");
+    std::vector<astro::j2_propagator> orbits;
+    orbits.reserve(sats.size());
+    for (const auto& s : sats) orbits.emplace_back(s.elements, epoch);
+    const auto points =
+        coverage_test_points(options.max_latitude_deg, options.grid_spacing_deg);
+    const double lambda_rad =
+        geo::coverage_geometry::from(sats[0].elements.semi_major_axis_m -
+                                         astro::earth_mean_radius_m,
+                                     options.min_elevation_rad)
+            .earth_central_half_angle_rad;
+    const double cos_lambda = std::cos(lambda_rad);
+    const double nodal_day_s = orbits.front().nodal_day_s();
+    for (int k = 0; k < options.n_time_steps; ++k) {
+        const auto dirs = satellite_directions_ecef(
+            orbits, epoch.plus_seconds(nodal_day_s * static_cast<double>(k) /
+                                       options.n_time_steps));
+        for (const auto& p : points)
+            if (!visit(covering_count(p, dirs, cos_lambda, lambda_rad, cap))) return;
+    }
 }
+
+constexpr int uncapped = std::numeric_limits<int>::max();
 
 } // namespace
 
@@ -131,18 +112,13 @@ double covered_fraction(std::span<const satellite> sats,
                         const astro::instant& epoch,
                         const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
     std::size_t covered = 0;
     std::size_t total = 0;
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            covered += point_covered(p, dirs, ctx.cos_lambda, ctx.lambda_rad) ? 1 : 0;
-            ++total;
-        }
-    }
+    sample_coverage(sats, epoch, options, 1, [&](int count) {
+        covered += static_cast<std::size_t>(count);
+        ++total;
+        return true;
+    });
     return total > 0 ? static_cast<double>(covered) / static_cast<double>(total) : 0.0;
 }
 
@@ -150,54 +126,37 @@ bool covers_continuously(std::span<const satellite> sats,
                          const astro::instant& epoch,
                          const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            if (!point_covered(p, dirs, ctx.cos_lambda, ctx.lambda_rad)) return false;
-        }
-    }
-    return true;
+    bool covered = true;
+    sample_coverage(sats, epoch, options, 1, [&](int count) {
+        covered = count > 0;
+        return covered;
+    });
+    return covered;
 }
 
 int min_simultaneous_coverage(std::span<const satellite> sats,
                               const astro::instant& epoch,
                               const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
-    int min_count = std::numeric_limits<int>::max();
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            const int count =
-                point_coverage_count(p, dirs, ctx.cos_lambda, ctx.lambda_rad);
-            if (count < min_count) min_count = count;
-            if (min_count == 0) return 0;
-        }
-    }
-    return min_count == std::numeric_limits<int>::max() ? 0 : min_count;
+    int min_count = uncapped;
+    sample_coverage(sats, epoch, options, uncapped, [&](int count) {
+        min_count = std::min(min_count, count);
+        return min_count > 0;
+    });
+    return min_count == uncapped ? 0 : min_count;
 }
 
 double mean_simultaneous_coverage(std::span<const satellite> sats,
                                   const astro::instant& epoch,
                                   const coverage_check_options& options)
 {
-    const check_context ctx = make_context(sats, epoch, options);
     double total = 0.0;
     std::size_t samples = 0;
-    for (int k = 0; k < options.n_time_steps; ++k) {
-        const astro::instant t = epoch.plus_seconds(
-            ctx.nodal_day_s * static_cast<double>(k) / options.n_time_steps);
-        const auto dirs = satellite_directions_ecef(ctx.orbits, t);
-        for (const auto& p : ctx.points) {
-            total += point_coverage_count(p, dirs, ctx.cos_lambda, ctx.lambda_rad);
-            ++samples;
-        }
-    }
+    sample_coverage(sats, epoch, options, uncapped, [&](int count) {
+        total += count;
+        ++samples;
+        return true;
+    });
     return samples > 0 ? total / static_cast<double>(samples) : 0.0;
 }
 

@@ -25,6 +25,7 @@ evaluation_context::evaluation_context(const lsn::lsn_topology& topology,
     // run it in the body so the span covers it.
     OBS_SPAN("exp.context.build");
     OBS_COUNT("exp.context.builds");
+    lsn::validate(grid);
     offsets_ = lsn::sweep_offsets(grid.duration_s, grid.step_s);
     positions_ = builder_.positions_at_offsets(offsets_);
 }

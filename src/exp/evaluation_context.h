@@ -64,9 +64,10 @@ cache_statistics operator-(const cache_statistics& a, const cache_statistics& b)
 
 class evaluation_context {
 public:
-    /// Builds the snapshot builder, the time grid and the batched
-    /// propagation pass. The topology must outlive the context (it is
-    /// referenced by the builder, not copied).
+    /// Builds the snapshot builder, the time grid (`grid` is checked by
+    /// `lsn::validate` first) and the batched propagation pass. The
+    /// topology must outlive the context (it is referenced by the builder,
+    /// not copied).
     evaluation_context(const lsn::lsn_topology& topology,
                        std::vector<lsn::ground_station> stations,
                        const astro::instant& epoch,

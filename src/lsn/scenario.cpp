@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radiation/solar_cycle.h"
+#include "util/angles.h"
 #include "util/expects.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -353,78 +354,78 @@ void deposit_debris(std::vector<double>& debris, int plane)
     if (down != up) debris[static_cast<std::size_t>(down)] += 0.5;
 }
 
+/// The step loop of the hazard processes (Kessler cascade, solar storm).
+/// Row i starts as a copy of row i - 1; `plane_p_fail(t0, t1, p_fail)`
+/// sets each plane's failure probability over the step [t0, t1]; then
+/// every live satellite draws one Bernoulli on the step's own
+/// `rng::split(seed, purpose, i)` sub-stream, so adding or dropping steps
+/// never shifts another step's draws and failed satellites draw nothing.
+/// `on_failure(plane)` sees the plane of each new loss, in satellite order.
+template <class PlaneFailProb, class OnFailure>
+void step_hazard(failure_timeline& timeline, const lsn_topology& topology,
+                 std::span<const double> offsets_s, std::uint64_t seed,
+                 std::uint64_t purpose, PlaneFailProb&& plane_p_fail,
+                 OnFailure&& on_failure)
+{
+    std::vector<double> p_fail(static_cast<std::size_t>(plane_count(topology)), 0.0);
+    for (int i = 1; i < timeline.n_steps; ++i) {
+        const auto row = timeline.row(i);
+        const auto previous = timeline.row(i - 1);
+        std::copy(previous.begin(), previous.end(), row.begin());
+        const double t0 = offsets_s[static_cast<std::size_t>(i - 1)];
+        const double t1 = offsets_s[static_cast<std::size_t>(i)];
+        expects(t1 - t0 > 0.0, "sweep offsets must be strictly increasing");
+        plane_p_fail(t0, t1, p_fail);
+
+        rng r = rng::split(seed, purpose, static_cast<std::uint64_t>(i));
+        for (std::size_t s = 0; s < row.size(); ++s) {
+            if (row[s]) continue;
+            const int plane = topology.satellites[s].plane;
+            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane)])) {
+                row[s] = 1;
+                on_failure(plane);
+            }
+        }
+    }
+}
+
 failure_timeline sample_cascade_timeline(const lsn_topology& topology,
                                          const failure_scenario& scenario,
                                          std::span<const double> offsets_s)
 {
     const int n = static_cast<int>(topology.satellites.size());
-    const int n_steps = static_cast<int>(offsets_s.size());
-    const int n_planes = plane_count(topology);
+    auto timeline = failure_timeline::zeros(n, static_cast<int>(offsets_s.size()));
+    if (timeline.n_steps == 0 || n == 0) return timeline;
 
-    failure_timeline timeline;
-    timeline.n_satellites = n;
-    timeline.n_steps = n_steps;
-    timeline.masks.assign(
-        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
-    if (n_steps == 0 || n == 0) return timeline;
-
-    const auto row = [&](int i) {
-        return timeline.masks.data() +
-               static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
-    };
-    const auto plane_of = [&](int s) {
-        return topology.satellites[static_cast<std::size_t>(s)].plane;
-    };
-
-    std::vector<double> debris(static_cast<std::size_t>(n_planes), 0.0);
+    std::vector<double> debris(static_cast<std::size_t>(plane_count(topology)), 0.0);
 
     // Step 0: the triggering event. Distinct hits via the same partial
     // Fisher-Yates the one-shot modes use, on the cascade's own sub-stream.
-    {
-        rng r = rng::split(scenario.seed, purpose_cascade, 0);
-        for (const int s : draw_distinct(n, scenario.cascade_initial_hits, r)) {
-            row(0)[s] = 1;
-            deposit_debris(debris, plane_of(s));
-        }
+    rng r = rng::split(scenario.seed, purpose_cascade, 0);
+    for (const int s : draw_distinct(n, scenario.cascade_initial_hits, r)) {
+        timeline.row(0)[static_cast<std::size_t>(s)] = 1;
+        deposit_debris(debris, topology.satellites[static_cast<std::size_t>(s)].plane);
     }
 
-    std::vector<double> p_fail(static_cast<std::size_t>(n_planes), 0.0);
-    std::vector<int> new_failures;
-    for (int i = 1; i < n_steps; ++i) {
-        std::copy_n(row(i - 1), n, row(i));
-        const double dt_s = offsets_s[static_cast<std::size_t>(i)] -
-                            offsets_s[static_cast<std::size_t>(i - 1)];
-        expects(dt_s > 0.0, "sweep offsets must be strictly increasing");
-
-        // Deposited debris decays (deorbit / avoidance), then sets this
-        // step's per-plane hazard on top of the ambient rate.
-        const double decay = std::exp(-dt_s / scenario.cascade_cooldown_s);
-        for (double& d : debris) d *= decay;
-        const double dt_days = dt_s / 86400.0;
-        for (int p = 0; p < n_planes; ++p) {
-            const double hazard_daily =
-                scenario.cascade_base_daily_hazard +
-                scenario.cascade_escalation * debris[static_cast<std::size_t>(p)];
-            p_fail[static_cast<std::size_t>(p)] =
-                1.0 - std::exp(-hazard_daily * dt_days);
-        }
-
-        // One sub-stream per step: adding or dropping steps never shifts
-        // another step's draws, and failed satellites draw nothing.
-        rng r = rng::split(scenario.seed, purpose_cascade,
-                           static_cast<std::uint64_t>(i));
-        new_failures.clear();
-        for (int s = 0; s < n; ++s) {
-            if (row(i)[s]) continue;
-            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane_of(s))])) {
-                row(i)[s] = 1;
-                new_failures.push_back(s);
+    step_hazard(
+        timeline, topology, offsets_s, scenario.seed, purpose_cascade,
+        [&](double t0, double t1, std::vector<double>& p_fail) {
+            // Deposited debris decays (deorbit / avoidance), then sets this
+            // step's per-plane hazard on top of the ambient rate.
+            const double dt_s = t1 - t0;
+            const double decay = std::exp(-dt_s / scenario.cascade_cooldown_s);
+            for (double& d : debris) d *= decay;
+            const double dt_days = dt_s / 86400.0;
+            for (std::size_t p = 0; p < p_fail.size(); ++p) {
+                const double hazard_daily = scenario.cascade_base_daily_hazard +
+                                            scenario.cascade_escalation * debris[p];
+                p_fail[p] = 1.0 - std::exp(-hazard_daily * dt_days);
             }
-        }
-        // This step's losses feed next step's hazard, not their own — the
-        // collision debris takes one step to disperse into the shells.
-        for (const int s : new_failures) deposit_debris(debris, plane_of(s));
-    }
+        },
+        // This step's losses feed next step's hazard, not their own (its
+        // p_fail is already set) — the collision debris takes one step to
+        // disperse into the shells.
+        [&](int plane) { deposit_debris(debris, plane); });
     return timeline;
 }
 
@@ -434,63 +435,36 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
                                        const astro::instant& epoch)
 {
     const int n = static_cast<int>(topology.satellites.size());
-    const int n_steps = static_cast<int>(offsets_s.size());
-    const int n_planes = plane_count(topology);
-
-    failure_timeline timeline;
-    timeline.n_satellites = n;
-    timeline.n_steps = n_steps;
-    timeline.masks.assign(
-        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
-    if (n_steps == 0 || n == 0) return timeline;
+    auto timeline = failure_timeline::zeros(n, static_cast<int>(offsets_s.size()));
+    if (timeline.n_steps == 0 || n == 0) return timeline;
     expects(scenario.storm_start_s <= offsets_s.back(),
             "storm window must start inside the sweep horizon");
 
-    const auto row = [&](int i) {
-        return timeline.masks.data() +
-               static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
-    };
+    step_hazard(
+        timeline, topology, offsets_s, scenario.seed, purpose_storm,
+        [&](double t0, double t1, std::vector<double>& p_fail) {
+            const double t_mid = 0.5 * (t0 + t1);
+            // Raised-cosine storm window, further scaled by the deterministic
+            // solar-activity level at that instant: the same storm template
+            // hits harder near solar maximum.
+            double window = 0.0;
+            const double x = (t_mid - scenario.storm_start_s) / scenario.storm_duration_s;
+            if (x >= 0.0 && x <= 1.0)
+                window = 0.5 * (1.0 - std::cos(2.0 * 3.14159265358979323846 * x));
+            const double activity =
+                radiation::solar_activity(epoch.plus_seconds(t_mid));
+            const double multiplier =
+                1.0 + (scenario.storm_fluence_multiplier - 1.0) * window * activity;
 
-    std::vector<double> p_fail(static_cast<std::size_t>(n_planes), 0.0);
-    for (int i = 1; i < n_steps; ++i) {
-        std::copy_n(row(i - 1), n, row(i));
-        const double t0 = offsets_s[static_cast<std::size_t>(i - 1)];
-        const double t1 = offsets_s[static_cast<std::size_t>(i)];
-        const double dt_s = t1 - t0;
-        expects(dt_s > 0.0, "sweep offsets must be strictly increasing");
-        const double t_mid = 0.5 * (t0 + t1);
-
-        // Raised-cosine storm window, further scaled by the deterministic
-        // solar-activity level at that instant: the same storm template
-        // hits harder near solar maximum.
-        double window = 0.0;
-        const double x = (t_mid - scenario.storm_start_s) / scenario.storm_duration_s;
-        if (x >= 0.0 && x <= 1.0)
-            window = 0.5 * (1.0 - std::cos(2.0 * 3.14159265358979323846 * x));
-        const double activity =
-            radiation::solar_activity(epoch.plus_seconds(t_mid));
-        const double multiplier =
-            1.0 + (scenario.storm_fluence_multiplier - 1.0) * window * activity;
-
-        const double dt_years = dt_s / 86400.0 / 365.25;
-        for (int p = 0; p < n_planes; ++p) {
-            const double rate = annual_failure_rate(
-                scenario.plane_daily_fluence[static_cast<std::size_t>(p)] *
-                    multiplier,
-                scenario.failure_options);
-            p_fail[static_cast<std::size_t>(p)] =
-                1.0 - std::exp(-rate * dt_years);
-        }
-
-        rng r = rng::split(scenario.seed, purpose_storm,
-                           static_cast<std::uint64_t>(i));
-        for (int s = 0; s < n; ++s) {
-            if (row(i)[s]) continue;
-            const int plane = topology.satellites[static_cast<std::size_t>(s)].plane;
-            if (r.bernoulli(p_fail[static_cast<std::size_t>(plane)]))
-                row(i)[s] = 1;
-        }
-    }
+            const double dt_years = (t1 - t0) / 86400.0 / 365.25;
+            for (std::size_t p = 0; p < p_fail.size(); ++p) {
+                const double rate = annual_failure_rate(
+                    scenario.plane_daily_fluence[p] * multiplier,
+                    scenario.failure_options);
+                p_fail[p] = 1.0 - std::exp(-rate * dt_years);
+            }
+        },
+        [](int) {});
     return timeline;
 }
 
@@ -533,39 +507,34 @@ double giant_component_fraction(const network_snapshot& snapshot,
         return failed.empty() || failed[static_cast<std::size_t>(s)] == 0;
     };
 
-    std::vector<int> parent(static_cast<std::size_t>(n));
-    std::iota(parent.begin(), parent.end(), 0);
-    const auto find = [&](int v) {
-        while (parent[static_cast<std::size_t>(v)] != v) {
-            parent[static_cast<std::size_t>(v)] =
-                parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
-            v = parent[static_cast<std::size_t>(v)];
-        }
-        return v;
-    };
-
+    union_find components(n);
     for (int u = 0; u < n; ++u) {
         if (!alive(u)) continue;
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            if (e.to >= n || !alive(e.to)) continue; // ground links don't join sats
-            const int ru = find(u);
-            const int rv = find(e.to);
-            if (ru != rv) parent[static_cast<std::size_t>(ru)] = rv;
-        }
+        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)])
+            if (e.to < n && alive(e.to)) // ground links don't join sats
+                components.unite(u, e.to);
     }
-
-    std::vector<int> component_size(static_cast<std::size_t>(n), 0);
     int largest = 0;
-    for (int u = 0; u < n; ++u) {
-        if (!alive(u)) continue;
-        const int root = find(u);
-        largest = std::max(largest, ++component_size[static_cast<std::size_t>(root)]);
-    }
+    for (int u = 0; u < n; ++u)
+        if (alive(u)) largest = std::max(largest, components.component_size(u));
     return static_cast<double>(largest) / n;
+}
+
+void validate(const scenario_sweep_options& options)
+{
+    expects(std::isfinite(options.duration_s), "sweep duration must be finite");
+    expects(std::isfinite(options.step_s) && options.step_s > 0.0,
+            "sweep step must be finite and positive");
+    expects(std::isfinite(options.min_elevation_rad) &&
+                std::abs(options.min_elevation_rad) <= 0.5 * pi,
+            "minimum elevation must be finite and within [-pi/2, pi/2]");
+    expects(std::isfinite(options.max_isl_range_m) && options.max_isl_range_m > 0.0,
+            "ISL range must be finite and positive");
 }
 
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
+    expects(std::isfinite(duration_s), "sweep duration must be finite");
     expects(step_s > 0.0, "sweep step must be positive");
     // Offset i is i * step_s, not a running sum: accumulating the step
     // drifts on grids like 0.1 s and can add a spurious final offset.

@@ -194,10 +194,18 @@ struct scenario_sweep_options {
     double max_isl_range_m = 6.0e6;
 };
 
+/// Reject a sweep grid that cannot be swept, with a clear
+/// `contract_violation`: a non-finite `duration_s`, a non-finite or
+/// non-positive `step_s`, a `min_elevation_rad` that is not finite or lies
+/// outside [-pi/2, pi/2], or a non-finite or non-positive
+/// `max_isl_range_m`. Called by every entry point that takes these options.
+void validate(const scenario_sweep_options& options);
+
 /// The sweep time grid: offsets 0, step_s, 2*step_s, ... < duration_s —
 /// shared by every time-stepped sweep so their grids can never drift apart.
 /// A non-positive duration yields an empty grid (sweeps report zeroed
-/// stats); a non-positive step is a contract violation.
+/// stats); a non-finite duration or a non-positive step is a contract
+/// violation.
 std::vector<double> sweep_offsets(double duration_s, double step_s);
 
 /// Scalar robustness metrics for one scenario over the sweep window.

@@ -19,6 +19,7 @@ latency_stats simulate_pair_latency(const lsn_topology& topology,
     expects(ground_b >= 0 && static_cast<std::size_t>(ground_b) < stations.size(),
             "bad ground index b");
 
+    validate(options);
     const snapshot_builder builder(topology, stations, epoch,
                                    options.min_elevation_rad, options.max_isl_range_m);
     const auto offsets = sweep_offsets(options.duration_s, options.step_s);
@@ -71,6 +72,7 @@ double coverage_fraction(const lsn_topology& topology,
                          const astro::instant& epoch,
                          const scenario_sweep_options& options)
 {
+    validate(options);
     const snapshot_builder builder(topology, {station}, epoch,
                                    options.min_elevation_rad, options.max_isl_range_m);
     const auto offsets = sweep_offsets(options.duration_s, options.step_s);

@@ -37,6 +37,18 @@ failure_timeline failure_timeline::from_static_mask(std::vector<std::uint8_t> ma
     return timeline;
 }
 
+failure_timeline failure_timeline::zeros(int n_satellites, int n_steps)
+{
+    expects(n_satellites >= 0 && n_steps >= 0,
+            "timeline dimensions must be non-negative");
+    failure_timeline timeline;
+    timeline.n_satellites = n_satellites;
+    timeline.n_steps = n_steps;
+    timeline.masks.assign(
+        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n_satellites), 0);
+    return timeline;
+}
+
 void validate(const failure_timeline& timeline)
 {
     expects(timeline.n_satellites >= 0 && timeline.n_steps >= 0,

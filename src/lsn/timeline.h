@@ -17,7 +17,10 @@
 // Timelines are generated by the pluggable scenario processes in
 // `lsn::sample_failure_timeline` (Kessler cascade, solar-storm epoch) and
 // `traffic::generate_adversary_timeline` (greedy adversary — it needs the
-// delivered-traffic oracle, which lives above `lsn`).
+// delivered-traffic oracle, which lives above `lsn`). Each generator starts
+// from `failure_timeline::zeros` and fills it through `row(i)`; the two
+// hazard processes share one step loop that copies the previous row and
+// draws Bernoulli failures for the live satellites.
 #ifndef SSPLANE_LSN_TIMELINE_H
 #define SSPLANE_LSN_TIMELINE_H
 
@@ -55,6 +58,15 @@ struct failure_timeline {
                 static_cast<std::size_t>(n_satellites)};
     }
 
+    /// Mutable mask row `i` (0 <= i < n_steps) — how the generators fill
+    /// a `zeros` timeline.
+    std::span<std::uint8_t> row(int i) noexcept
+    {
+        return {masks.data() +
+                    static_cast<std::size_t>(i) * static_cast<std::size_t>(n_satellites),
+                static_cast<std::size_t>(n_satellites)};
+    }
+
     /// Failed satellites at step `i`.
     int n_failed_at(int i) const noexcept;
 
@@ -65,6 +77,10 @@ struct failure_timeline {
     /// degenerate static timeline — how a static mask reaches the sweep
     /// engines' `_timeline` entry points.
     static failure_timeline from_static_mask(std::vector<std::uint8_t> mask);
+
+    /// `n_steps` all-zero rows of `n_satellites` — the blank timeline the
+    /// hazard processes and the greedy adversary fill row by row.
+    static failure_timeline zeros(int n_satellites, int n_steps);
 };
 
 /// Reject malformed timelines (negative dims, row/size mismatch) with a

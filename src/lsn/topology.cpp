@@ -164,6 +164,53 @@ std::vector<ground_station> default_ground_stations()
     };
 }
 
+namespace {
+
+/// Index of the first slot in `out` that leads to `to`, or -1.
+int first_slot_to(const std::vector<network_snapshot::edge>& out, int to)
+{
+    for (std::size_t j = 0; j < out.size(); ++j)
+        if (out[j].to == to) return static_cast<int>(j);
+    return -1;
+}
+
+} // namespace
+
+int snapshot_links::between(const network_snapshot& snapshot, int a, int b) const
+{
+    const int j = first_slot_to(snapshot.adjacency[static_cast<std::size_t>(a)], b);
+    expects(j >= 0, "path step is not a snapshot link");
+    return at(a, static_cast<std::size_t>(j));
+}
+
+snapshot_links number_links(const network_snapshot& snapshot)
+{
+    snapshot_links table;
+    table.first_slot.reserve(snapshot.adjacency.size());
+    for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
+        const auto& out = snapshot.adjacency[static_cast<std::size_t>(u)];
+        table.first_slot.push_back(table.slot_link.size());
+        for (std::size_t j = 0; j < out.size(); ++j) {
+            const auto& e = out[j];
+            expects(e.to != u, "snapshot links must join distinct nodes");
+            const int back =
+                first_slot_to(snapshot.adjacency[static_cast<std::size_t>(e.to)], u);
+            expects(back >= 0, "snapshot adjacency must be symmetric");
+            const auto first = static_cast<std::size_t>(first_slot_to(out, e.to));
+            if (e.to < u) {
+                // The lower endpoint's row, already numbered, made the link.
+                table.slot_link.push_back(table.at(e.to, static_cast<std::size_t>(back)));
+            } else if (first < j) {
+                table.slot_link.push_back(table.at(u, first));
+            } else {
+                table.slot_link.push_back(static_cast<int>(table.links.size()));
+                table.links.push_back({u, e.to, e.latency_s});
+            }
+        }
+    }
+    return table;
+}
+
 // snapshot_at is defined in scenario.cpp: it is a one-shot wrapper over
 // snapshot_builder, and topology must not depend on the sweep engine.
 

@@ -8,6 +8,7 @@
 #define SSPLANE_LSN_TOPOLOGY_H
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "astro/frames.h"
@@ -88,6 +89,76 @@ struct network_snapshot {
                 "ground index out of range");
         return n_satellites + ground_index;
     }
+};
+
+/// Undirected link numbering of a snapshot, shared by every engine that
+/// keeps per-link state (traffic loads, tempo capacity slots). One link per
+/// distinct node pair, numbered in (lower node, adjacency slot) order; a
+/// pair listed twice in a row maps both slots to its first link. The
+/// builders emit no repeated pairs, so no snapshot the stack builds has one.
+struct snapshot_links {
+    struct link {
+        int a = 0;              ///< Lower node index.
+        int b = 0;              ///< Higher node index.
+        double latency_s = 0.0; ///< Latency of `a`'s first slot to `b`.
+    };
+    std::vector<link> links;
+    std::vector<std::size_t> first_slot; ///< Node u's slots start here.
+    std::vector<int> slot_link;          ///< Link id per adjacency slot.
+
+    /// Link id of adjacency slot `j` of node `u`.
+    int at(int u, std::size_t j) const
+    {
+        return slot_link[first_slot[static_cast<std::size_t>(u)] + j];
+    }
+    /// Link id of (a, b), by a scan of `a`'s handful of adjacency slots.
+    int between(const network_snapshot& snapshot, int a, int b) const;
+};
+
+/// Number the links of `snapshot`. Self loops and asymmetric adjacency (a
+/// slot u -> v without any v -> u) are a `contract_violation`.
+snapshot_links number_links(const network_snapshot& snapshot);
+
+/// Union-find over nodes [0, n) with union by size and path halving — the
+/// one connected-components kernel (`giant_component_fraction`, the
+/// percolation analyzer). Component membership and sizes depend only on
+/// the edge set, never on the order of `unite` calls.
+class union_find {
+public:
+    explicit union_find(int n)
+        : parent_(static_cast<std::size_t>(n)), size_(parent_.size(), 1)
+    {
+        for (int i = 0; i < n; ++i) parent(i) = i;
+    }
+
+    /// Representative node of `x`'s component.
+    int find(int x)
+    {
+        while (parent(x) != x) {
+            parent(x) = parent(parent(x));
+            x = parent(x);
+        }
+        return x;
+    }
+    /// Join the components of `a` and `b`; false when already joined.
+    bool unite(int a, int b)
+    {
+        a = find(a);
+        b = find(b);
+        if (a == b) return false;
+        if (size(a) < size(b)) std::swap(a, b);
+        parent(b) = a;
+        size(a) += size(b);
+        return true;
+    }
+    /// Node count of `x`'s component.
+    int component_size(int x) { return size(find(x)); }
+
+private:
+    int& parent(int x) { return parent_[static_cast<std::size_t>(x)]; }
+    int& size(int x) { return size_[static_cast<std::size_t>(x)]; }
+    std::vector<int> parent_;
+    std::vector<int> size_;
 };
 
 /// Build the graph at time `t`: ISLs within `max_isl_range_m` plus ground

@@ -17,47 +17,6 @@ namespace {
 // (detlint split-purpose-collision): lsn holds 1 and 2, Lanczos holds 3.
 constexpr std::uint64_t purpose_masking_draw = 4;
 
-/// Union-find with union-by-size and path halving. Serial walks in index
-/// order only — determinism comes for free.
-class union_find {
-public:
-    explicit union_find(int n)
-        : parent_(static_cast<std::size_t>(n)), size_(static_cast<std::size_t>(n), 1)
-    {
-        for (int i = 0; i < n; ++i) parent_[static_cast<std::size_t>(i)] = i;
-    }
-
-    int find(int x)
-    {
-        while (parent_[static_cast<std::size_t>(x)] != x) {
-            parent_[static_cast<std::size_t>(x)] =
-                parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-            x = parent_[static_cast<std::size_t>(x)];
-        }
-        return x;
-    }
-
-    void unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b) return;
-        if (size_[static_cast<std::size_t>(a)] < size_[static_cast<std::size_t>(b)])
-            std::swap(a, b);
-        parent_[static_cast<std::size_t>(b)] = a;
-        size_[static_cast<std::size_t>(a)] += size_[static_cast<std::size_t>(b)];
-        ++unions_;
-    }
-
-    int component_size(int x) { return size_[static_cast<std::size_t>(find(x))]; }
-    int unions() const noexcept { return unions_; }
-
-private:
-    std::vector<int> parent_;
-    std::vector<int> size_;
-    int unions_ = 0;
-};
-
 /// Global clustering coefficient: closed / connected triplets. Neighbor
 /// lists must be sorted (binary-search closure test); each triangle is
 /// counted once per center, matching the factor 3 of the textbook formula.
@@ -122,11 +81,12 @@ percolation_metrics analyze_adjacency(const std::vector<std::vector<int>>& adjac
         }
     }
 
-    union_find components(n_alive);
+    lsn::union_find components(n_alive);
+    int unions = 0;
     for (int a = 0; a < n_alive; ++a)
         for (const int b : alive[static_cast<std::size_t>(a)])
-            if (a < b) components.unite(a, b);
-    OBS_COUNT_N("spectral.unionfind.unions", components.unions());
+            if (a < b && components.unite(a, b)) ++unions;
+    OBS_COUNT_N("spectral.unionfind.unions", unions);
 
     std::vector<int> cluster_sizes;
     for (int a = 0; a < n_alive; ++a)

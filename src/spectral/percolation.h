@@ -6,9 +6,11 @@
 // delivered throughput); this module reports the *structural* quantities
 // underneath, the ones that move sharply at a percolation transition:
 //
-//   * giant-component fraction (GCC) — union-find over the alive ISL
-//     subgraph, reported both against all satellites (raw loss included)
-//     and against survivors only (pure fragmentation);
+//   * giant-component fraction (GCC) — `lsn::union_find` over the alive
+//     ISL subgraph (the one components kernel, shared with
+//     `lsn::giant_component_fraction`), reported both against all
+//     satellites (raw loss included) and against survivors only (pure
+//     fragmentation);
 //   * susceptibility χ — Σ (finite-cluster sizes)² / n_satellites, the
 //     classic transition detector: χ spikes where the giant component
 //     shatters into many mid-sized fragments;

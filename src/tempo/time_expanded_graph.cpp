@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -84,41 +83,34 @@ time_expanded_graph build_time_expanded_graph_timeline(
     std::vector<std::vector<time_expanded_graph::arc>> adjacency(
         static_cast<std::size_t>(graph.n_time_nodes()));
 
-    // Transmission arcs, step-major, node/adjacency order within a step —
-    // the same deterministic order the traffic engine's edge table uses.
-    // DETLINT-ALLOW(unordered-iteration): lookup-only (find/emplace); slots
-    // are appended in deterministic adjacency order, never in map order.
-    std::unordered_map<std::uint64_t, int> step_slot;
+    // Transmission arcs, step-major, node/adjacency order within a step;
+    // slots follow the step's `lsn::number_links` order, the same link
+    // numbering the traffic engine uses.
     for (int i = 0; i < graph.n_steps; ++i) {
         const auto& snap = snapshots[static_cast<std::size_t>(i)];
         expects(snap.n_satellites == graph.n_satellites &&
                     snap.n_ground == graph.n_ground,
                 "snapshots must share one node set");
         const double dwell = graph.dwell_s[static_cast<std::size_t>(i)];
-        step_slot.clear();
+        const lsn::snapshot_links ids = lsn::number_links(snap);
+        const int first_slot = static_cast<int>(graph.slots.size());
+        for (const auto& link : ids.links) {
+            time_expanded_graph::slot s;
+            s.step = i;
+            s.a = link.a;
+            s.b = link.b;
+            s.uplink = s.b >= graph.n_satellites;
+            s.capacity_gb = (s.uplink ? options.capacity.uplink_capacity_gbps
+                                      : options.capacity.isl_capacity_gbps) *
+                            dwell;
+            graph.slots.push_back(s);
+        }
         for (int u = 0; u < n_nodes; ++u) {
-            for (const auto& e : snap.adjacency[static_cast<std::size_t>(u)]) {
-                const auto lo = static_cast<std::uint64_t>(std::min(u, e.to));
-                const auto hi = static_cast<std::uint64_t>(std::max(u, e.to));
-                const std::uint64_t key = (lo << 32) | hi;
-                auto it = step_slot.find(key);
-                if (it == step_slot.end()) {
-                    time_expanded_graph::slot s;
-                    s.step = i;
-                    s.a = static_cast<int>(lo);
-                    s.b = static_cast<int>(hi);
-                    s.uplink = s.b >= graph.n_satellites;
-                    s.capacity_gb = (s.uplink
-                                         ? options.capacity.uplink_capacity_gbps
-                                         : options.capacity.isl_capacity_gbps) *
-                                    dwell;
-                    it = step_slot.emplace(key, static_cast<int>(graph.slots.size()))
-                             .first;
-                    graph.slots.push_back(s);
-                }
+            const auto& out = snap.adjacency[static_cast<std::size_t>(u)];
+            for (std::size_t j = 0; j < out.size(); ++j)
                 adjacency[static_cast<std::size_t>(graph.time_node(u, i))].push_back(
-                    {graph.time_node(e.to, i), it->second, e.latency_s});
-            }
+                    {graph.time_node(out[j].to, i), first_slot + ids.at(u, j),
+                     out[j].latency_s});
         }
 
         // Storage arcs into the next step: buffered satellites (live at

@@ -10,7 +10,10 @@
 //     *volume*: an ISL or uplink of capacity C Gbps live for a step of
 //     dwell D seconds moves up to C*D gigabits within that step. Both
 //     directions of an undirected link share one capacity slot, exactly
-//     like `traffic::link_load` shares load across directions.
+//     like `traffic::link_load` shares load across directions: a step's
+//     slots are its `lsn::number_links` links, the numbering the traffic
+//     engine uses, so a pair listed twice is still one slot and an
+//     asymmetric adjacency is a `contract_violation`.
 //   * storage arcs — (node, step) -> (node, step+1). A satellite's storage
 //     arc is gated by its onboard buffer (`sat_buffer_gb`); ground nodes
 //     store for free (data waits at a gateway until the network can move

@@ -27,11 +27,7 @@ lsn::failure_timeline generate_adversary_timeline(
     const int n_steps = static_cast<int>(offsets_s.size());
     const int n_planes = lsn::plane_count(topology);
 
-    lsn::failure_timeline timeline;
-    timeline.n_satellites = n;
-    timeline.n_steps = n_steps;
-    timeline.masks.assign(
-        static_cast<std::size_t>(n_steps) * static_cast<std::size_t>(n), 0);
+    auto timeline = lsn::failure_timeline::zeros(n, n_steps);
     if (n_steps == 0 || n == 0) return timeline;
 
     // The attacker's planning grid: every stride-th sweep step. Scoring a
@@ -50,11 +46,6 @@ lsn::failure_timeline generate_adversary_timeline(
         for (int s = 0; s < n; ++s)
             if (topology.satellites[static_cast<std::size_t>(s)].plane == p)
                 mask[static_cast<std::size_t>(s)] = 1;
-    };
-
-    const auto row = [&](int i) {
-        return timeline.masks.data() +
-               static_cast<std::size_t>(i) * static_cast<std::size_t>(n);
     };
 
     int fill_from = 0; // next timeline row still holding the previous mask
@@ -94,12 +85,12 @@ lsn::failure_timeline generate_adversary_timeline(
         // Rows up to the strike keep the pre-strike mask; the strike lands
         // at `strike_step` and is permanent.
         for (; fill_from < strike_step; ++fill_from)
-            std::copy_n(current.data(), n, row(fill_from));
+            std::copy(current.begin(), current.end(), timeline.row(fill_from).begin());
         plane_dead[static_cast<std::size_t>(best_plane)] = 1;
         kill_plane(best_plane, current);
     }
     for (; fill_from < n_steps; ++fill_from)
-        std::copy_n(current.data(), n, row(fill_from));
+        std::copy(current.begin(), current.end(), timeline.row(fill_from).begin());
     return timeline;
 }
 

@@ -16,67 +16,26 @@ namespace {
 
 constexpr double flow_eps_gbps = 1e-9;
 
-/// Index of the first slot in `out` that leads to `to`, or -1.
-int first_slot_to(const std::vector<lsn::network_snapshot::edge>& out, int to)
-{
-    for (std::size_t j = 0; j < out.size(); ++j)
-        if (out[j].to == to) return static_cast<int>(j);
-    return -1;
-}
-
-/// Undirected edge ids over a snapshot: `links` in deterministic (node,
-/// adjacency) order, plus the link id of every adjacency slot, laid out
-/// like `snapshot.adjacency` (node u's slots start at `first_slot[u]`). A
-/// pair listed twice maps both slots to its first link.
+/// Per-link load state over a snapshot's `lsn::number_links` numbering.
 struct edge_table {
-    std::vector<link_load> links;
-    std::vector<std::size_t> first_slot;
-    std::vector<int> slot_id;
-
-    int id_at(int u, std::size_t j) const
-    {
-        return slot_id[first_slot[static_cast<std::size_t>(u)] + j];
-    }
-    /// Link id of (a, b), by a scan of `a`'s handful of adjacency slots.
-    int id_of(const lsn::network_snapshot& snapshot, int a, int b) const
-    {
-        const int j = first_slot_to(snapshot.adjacency[static_cast<std::size_t>(a)], b);
-        expects(j >= 0, "path step is not a snapshot link");
-        return id_at(a, static_cast<std::size_t>(j));
-    }
+    lsn::snapshot_links ids;
+    std::vector<link_load> links; ///< Indexed by link id.
 };
 
 edge_table build_edge_table(const lsn::network_snapshot& snapshot,
                             const capacity_options& options)
 {
-    edge_table table;
-    table.first_slot.reserve(snapshot.adjacency.size());
-    for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
-        const auto& out = snapshot.adjacency[static_cast<std::size_t>(u)];
-        table.first_slot.push_back(table.slot_id.size());
-        for (std::size_t j = 0; j < out.size(); ++j) {
-            const auto& e = out[j];
-            expects(e.to != u, "snapshot links must join distinct nodes");
-            if (e.to < u) {
-                // The lower endpoint's row, already numbered, made the link.
-                const int back =
-                    first_slot_to(snapshot.adjacency[static_cast<std::size_t>(e.to)], u);
-                expects(back >= 0, "snapshot adjacency must be symmetric");
-                table.slot_id.push_back(table.id_at(e.to, static_cast<std::size_t>(back)));
-                continue;
-            }
-            const auto first = static_cast<std::size_t>(first_slot_to(out, e.to));
-            table.slot_id.push_back(first < j ? table.id_at(u, first)
-                                              : static_cast<int>(table.links.size()));
-            link_load link;
-            link.a = u;
-            link.b = e.to;
-            link.latency_s = e.latency_s;
-            link.uplink = u >= snapshot.n_satellites || e.to >= snapshot.n_satellites;
-            link.capacity_gbps = link.uplink ? options.uplink_capacity_gbps
-                                             : options.isl_capacity_gbps;
-            table.links.push_back(link);
-        }
+    edge_table table{lsn::number_links(snapshot), {}};
+    table.links.reserve(table.ids.links.size());
+    for (const auto& id : table.ids.links) {
+        link_load link;
+        link.a = id.a;
+        link.b = id.b;
+        link.latency_s = id.latency_s;
+        link.uplink = id.b >= snapshot.n_satellites;
+        link.capacity_gbps =
+            link.uplink ? options.uplink_capacity_gbps : options.isl_capacity_gbps;
+        table.links.push_back(link);
     }
     return table;
 }
@@ -97,7 +56,7 @@ lsn::network_snapshot make_weight_graph(const lsn::network_snapshot& snapshot,
         const auto& in = snapshot.adjacency[static_cast<std::size_t>(u)];
         for (std::size_t j = 0; j < in.size(); ++j) {
             const auto& e = in[j];
-            const auto& link = table.links[static_cast<std::size_t>(table.id_at(u, j))];
+            const auto& link = table.links[static_cast<std::size_t>(table.ids.at(u, j))];
             if (link.capacity_gbps - link.load_gbps <= flow_eps_gbps) continue;
             out.push_back({e.to, e.latency_s * (1.0 + options.congestion_penalty *
                                                           link.utilization())});
@@ -115,7 +74,7 @@ double place_flow_on_path(const lsn::network_snapshot& snapshot,
     if (path.size() < 2) return 0.0;
     const auto hop = [&](std::size_t i) -> link_load& {
         return table.links[static_cast<std::size_t>(
-            table.id_of(snapshot, path[i - 1], path[i]))];
+            table.ids.between(snapshot, path[i - 1], path[i]))];
     };
     double bottleneck = std::numeric_limits<double>::infinity();
     double path_latency_s = 0.0;

@@ -8,7 +8,9 @@
 // Demand that does not fit spills to the next round, where saturated links
 // have dropped out and loaded links weigh more — the k rounds therefore
 // realize k-shortest-path splitting without per-pair re-Dijkstra. Pair
-// order is fixed (a < b, row order), so results are deterministic.
+// order is fixed (a < b, row order), so results are deterministic. Loads
+// are kept per `lsn::number_links` link — one per distinct node pair, the
+// numbering the tempo engine's capacity slots use.
 #ifndef SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 #define SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 
@@ -39,7 +41,7 @@ struct capacity_options {
 /// programmatically can call it early themselves.
 void validate(const capacity_options& options);
 
-/// One undirected link of the loaded network.
+/// One undirected link of the loaded network (`lsn::number_links` order).
 struct link_load {
     int a = 0;                  ///< Node index (satellite or ground).
     int b = 0;                  ///< Node index, b > a.

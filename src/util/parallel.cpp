@@ -178,8 +178,13 @@ void parallel_for(std::size_t n,
         });
     }
 
-    std::unique_lock lock(state->mutex);
-    state->done.wait(lock, [&] { return state->remaining == 0; });
+    {
+        // The join is its own span, so a fan-out parent's self time is its
+        // own work, not the time it sat blocked on the pool.
+        OBS_SPAN("pool.wait");
+        std::unique_lock lock(state->mutex);
+        state->done.wait(lock, [&] { return state->remaining == 0; });
+    }
     if (state->error) std::rethrow_exception(state->error);
 }
 

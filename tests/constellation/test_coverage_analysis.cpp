@@ -141,5 +141,27 @@ TEST(Coverage, EmptyConstellationRejected)
                  contract_violation);
 }
 
+TEST(Coverage, ZeroTimeStepsRejected)
+{
+    // Without the check, no sample means every check passes vacuously: a
+    // 4-satellite shell "covers continuously" and the sizer accepts its
+    // first coarse-screened candidate.
+    walker_parameters p;
+    p.altitude_m = 550.0e3;
+    p.inclination_rad = deg2rad(53.0);
+    p.n_planes = 2;
+    p.sats_per_plane = 2;
+    const auto sats = make_walker_delta(p);
+    auto none = fast_options();
+    none.n_time_steps = 0;
+    const auto epoch = astro::instant::j2000();
+    EXPECT_THROW(covers_continuously(sats, epoch, none), contract_violation);
+    EXPECT_THROW(covered_fraction(sats, epoch, none), contract_violation);
+    EXPECT_THROW(min_simultaneous_coverage(sats, epoch, none), contract_violation);
+    EXPECT_THROW(mean_simultaneous_coverage(sats, epoch, none), contract_violation);
+    EXPECT_THROW(size_walker_for_coverage(550.0e3, deg2rad(53.0), none),
+                 contract_violation);
+}
+
 } // namespace
 } // namespace ssplane::constellation

@@ -451,9 +451,9 @@ TEST(Campaign, TimelineScenariosRunThroughAllEnginesBitIdenticallyAcrossThreads)
 
 TEST(Campaign, SurvivabilityAndPercolationGiantComponentsAgreeEveryStep)
 {
-    // Two independent giant-component implementations: survivability runs
+    // Two giant-component paths over one union-find: survivability runs
     // `lsn::giant_component_fraction` over the snapshot adjacency,
-    // percolation its own union-find over the compacted alive subgraph.
+    // percolation `lsn::union_find` over the compacted alive subgraph.
     // Both must report the same fraction at every step of every scenario.
     const auto topo = small_walker();
     const auto stations = traffic::stations_from_cities(4);

@@ -113,6 +113,19 @@ TEST(EvaluationContext, TimelineCacheDedupesOnModeKnobsAndSeed)
     EXPECT_EQ(context.timeline_cache_size(), 4u);
 }
 
+TEST(EvaluationContext, RejectsAnUnsweepableGrid)
+{
+    const auto topo = small_walker(3, 3);
+    auto endless = short_grid();
+    endless.duration_s = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(evaluation_context(topo, {}, astro::instant::j2000(), endless),
+                 contract_violation);
+    auto no_ground_links = short_grid();
+    no_ground_links.min_elevation_rad = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(evaluation_context(topo, {}, astro::instant::j2000(), no_ground_links),
+                 contract_violation);
+}
+
 TEST(EvaluationContext, TimelineLookupValidatesScenario)
 {
     const auto topo = small_walker(3, 3);

@@ -318,6 +318,44 @@ TEST(Scenario, PlaneAttackAndRandomLossGiantComponentCurves)
     }
 }
 
+TEST(Scenario, ValidateRejectsUnsweepableGrids)
+{
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    validate(scenario_sweep_options{});
+
+    const auto rejects = [](auto&& tweak) {
+        scenario_sweep_options opts;
+        tweak(opts);
+        EXPECT_THROW(validate(opts), contract_violation);
+    };
+    rejects([&](auto& o) { o.duration_s = inf; });
+    rejects([&](auto& o) { o.duration_s = nan; });
+    rejects([&](auto& o) { o.step_s = 0.0; });
+    rejects([&](auto& o) { o.step_s = -300.0; });
+    rejects([&](auto& o) { o.step_s = inf; });
+    rejects([&](auto& o) { o.step_s = nan; });
+    rejects([&](auto& o) { o.min_elevation_rad = nan; });
+    rejects([&](auto& o) { o.min_elevation_rad = 1.6; });
+    rejects([&](auto& o) { o.min_elevation_rad = -1.6; });
+    rejects([&](auto& o) { o.max_isl_range_m = 0.0; });
+    rejects([&](auto& o) { o.max_isl_range_m = inf; });
+    rejects([&](auto& o) { o.max_isl_range_m = nan; });
+
+    // The edges of the accepted ranges stay valid: an empty or negative
+    // duration sweeps an empty grid, and the elevation may sit at +-pi/2.
+    scenario_sweep_options edge;
+    edge.duration_s = -5.0;
+    edge.min_elevation_rad = -0.5 * pi;
+    validate(edge);
+    edge.min_elevation_rad = 0.5 * pi;
+    validate(edge);
+
+    // The grid helper itself refuses an unbounded horizon.
+    EXPECT_THROW(sweep_offsets(inf, 300.0), contract_violation);
+    EXPECT_THROW(sweep_offsets(nan, 300.0), contract_violation);
+}
+
 TEST(Scenario, DegenerateTimeGrids)
 {
     EXPECT_TRUE(sweep_offsets(0.0, 300.0).empty());

@@ -1,5 +1,7 @@
 #include "lsn/simulator.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/expects.h"
@@ -95,6 +97,24 @@ TEST(Simulator, InvalidStationIndicesRejected)
                  contract_violation);
     EXPECT_THROW(simulate_pair_latency(topo, stations, 0, 99, astro::instant::j2000(),
                                        quick_options()),
+                 contract_violation);
+}
+
+TEST(Simulator, InvalidSweepOptionsRejected)
+{
+    const auto topo = dense_walker();
+    const auto stations = default_ground_stations();
+    auto nan_elevation = quick_options();
+    nan_elevation.min_elevation_rad = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(simulate_pair_latency(topo, stations, 0, 1, astro::instant::j2000(),
+                                       nan_elevation),
+                 contract_violation);
+    EXPECT_THROW(coverage_fraction(topo, stations[0], astro::instant::j2000(),
+                                   nan_elevation),
+                 contract_violation);
+    auto endless = quick_options();
+    endless.duration_s = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(coverage_fraction(topo, stations[0], astro::instant::j2000(), endless),
                  contract_violation);
 }
 

@@ -93,6 +93,24 @@ TEST(Timeline, ValidateRejectsMalformedTimelines)
     EXPECT_THROW(validate(mismatch), contract_violation);
 }
 
+TEST(Timeline, ZerosTimelineIsBlankAndRowsAreWritable)
+{
+    auto timeline = failure_timeline::zeros(4, 3);
+    EXPECT_EQ(timeline.n_satellites, 4);
+    EXPECT_EQ(timeline.n_steps, 3);
+    validate(timeline);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(timeline.n_failed_at(i), 0);
+
+    timeline.row(1)[2] = 1;
+    EXPECT_EQ(timeline.n_failed_at(0), 0);
+    EXPECT_EQ(failed_indices(timeline.step(1)), std::vector<int>{2});
+    EXPECT_EQ(timeline.n_failed_at(2), 0); // rows are independent
+
+    EXPECT_EQ(failure_timeline::zeros(0, 5).masks.size(), 0u);
+    EXPECT_THROW(failure_timeline::zeros(-1, 2), contract_violation);
+    EXPECT_THROW(failure_timeline::zeros(3, -2), contract_violation);
+}
+
 // --- degradation-trace helpers ----------------------------------------------
 
 TEST(Timeline, FirstTimeBelowFindsTheCrossing)

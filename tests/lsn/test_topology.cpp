@@ -314,5 +314,79 @@ TEST(Topology, LinkDegreeHelpers)
     EXPECT_THROW(link_degrees(bad), contract_violation);
 }
 
+TEST(Topology, BuildersEmitNoRepeatedPairsAcrossShapes)
+{
+    // `number_links` maps a repeated pair onto one link; the builders never
+    // lean on that, so every snapshot the stack builds has one slot per pair
+    // and direction.
+    for (int planes = 1; planes <= 5; ++planes)
+        for (int sats = 1; sats <= 5; ++sats) {
+            if (planes * sats < 2) continue;
+            expect_unique_links(build_walker_grid_topology(capped_params(planes, sats)));
+            for (int degree = 2; degree <= 4; ++degree)
+                expect_unique_links(
+                    build_walker_capped_topology(capped_params(planes, sats), degree));
+        }
+    // SS planes of unequal size: bridges map several slots onto one.
+    std::vector<constellation::ss_plane> planes;
+    planes.push_back({560.0e3, 10.0, 5, 0.0});
+    planes.push_back({560.0e3, 11.0, 3, 0.0});
+    planes.push_back({560.0e3, 12.0, 8, 0.0});
+    planes.push_back({560.0e3, 13.0, 1, 0.0});
+    planes.push_back({560.0e3, 14.0, 2, 0.0});
+    expect_unique_links(build_ss_topology(planes, astro::instant::j2000()));
+}
+
+TEST(Topology, NumberLinksGivesOneIdPerPairInLowerNodeOrder)
+{
+    network_snapshot snap;
+    snap.n_satellites = 3;
+    snap.n_ground = 1;
+    snap.adjacency.resize(4);
+    const auto add = [&](int a, int b, double latency_s) {
+        snap.adjacency[static_cast<std::size_t>(a)].push_back({b, latency_s});
+        snap.adjacency[static_cast<std::size_t>(b)].push_back({a, latency_s});
+    };
+    add(1, 2, 0.002);
+    add(0, 2, 0.001);
+    add(3, 0, 0.004); // ground g0 (node 3) up to s0
+    add(2, 1, 0.003); // s1-s2 again: maps onto the first link
+
+    const auto table = number_links(snap);
+    ASSERT_EQ(table.links.size(), 3u);
+    EXPECT_EQ(table.links[0].a, 0); // s0's row first, in slot order
+    EXPECT_EQ(table.links[0].b, 2);
+    EXPECT_EQ(table.links[1].b, 3);
+    EXPECT_EQ(table.links[2].a, 1);
+    EXPECT_EQ(table.links[2].b, 2);
+    EXPECT_DOUBLE_EQ(table.links[2].latency_s, 0.002); // first slot's latency
+    for (int u = 0; u < 4; ++u)
+        for (std::size_t j = 0; j < snap.adjacency[static_cast<std::size_t>(u)].size(); ++j) {
+            const int to = snap.adjacency[static_cast<std::size_t>(u)][j].to;
+            const auto& link = table.links[static_cast<std::size_t>(table.at(u, j))];
+            EXPECT_EQ(std::minmax(u, to), std::minmax(link.a, link.b));
+        }
+    EXPECT_EQ(table.between(snap, 2, 1), 2);
+    EXPECT_THROW(table.between(snap, 1, 3), contract_violation);
+
+    auto looped = snap;
+    looped.adjacency[1].push_back({1, 0.0});
+    EXPECT_THROW(number_links(looped), contract_violation);
+}
+
+TEST(Topology, UnionFindTracksComponentsAndSizes)
+{
+    union_find components(6);
+    EXPECT_TRUE(components.unite(0, 1));
+    EXPECT_TRUE(components.unite(2, 1));
+    EXPECT_FALSE(components.unite(0, 2)); // already joined
+    EXPECT_TRUE(components.unite(4, 5));
+    EXPECT_EQ(components.find(0), components.find(2));
+    EXPECT_NE(components.find(0), components.find(4));
+    EXPECT_EQ(components.component_size(1), 3);
+    EXPECT_EQ(components.component_size(5), 2);
+    EXPECT_EQ(components.component_size(3), 1);
+}
+
 } // namespace
 } // namespace ssplane::lsn

@@ -1,5 +1,7 @@
 #include "tempo/time_expanded_graph.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "util/expects.h"
@@ -206,6 +208,49 @@ TEST(TimeExpandedGraph, TimelineSatelliteCountMismatchIsRejected)
     wrong.masks = {0, 0, 0};
     EXPECT_THROW(build_time_expanded_graph_timeline(snaps, offsets, wrong, {}),
                  contract_violation);
+}
+
+TEST(TimeExpandedGraph, RepeatedPairSharesOneTransmissionSlotPerStep)
+{
+    // The s0-s1 ISL listed twice: both slots of each direction map to the
+    // pair's one link, so each step holds one capacity slot per pair.
+    auto doubled = chain_snapshot();
+    add_edge(doubled, 0, 1, 5.0);
+    const std::vector<lsn::network_snapshot> snaps{doubled, doubled};
+    const std::vector<double> offsets{0.0, 600.0};
+    bulk_route_options opts;
+    opts.sat_buffer_gb = 0.0; // transmission slots only
+    const auto graph = build_time_expanded_graph_timeline(snaps, offsets, {}, opts);
+
+    ASSERT_EQ(graph.slots.size(), 6u); // 3 distinct pairs x 2 steps
+    for (int step = 0; step < 2; ++step) {
+        int isl_slot = -1;
+        for (int tn : {graph.time_node(0, step), graph.time_node(1, step)})
+            for (auto k = graph.arc_begin[static_cast<std::size_t>(tn)];
+                 k < graph.arc_begin[static_cast<std::size_t>(tn) + 1]; ++k) {
+                const auto& arc = graph.arcs[static_cast<std::size_t>(k)];
+                const auto& slot = graph.slots[static_cast<std::size_t>(arc.slot)];
+                EXPECT_EQ(slot.step, step);
+                if (slot.uplink) continue;
+                if (isl_slot < 0) isl_slot = arc.slot;
+                EXPECT_EQ(arc.slot, isl_slot) << "step " << step;
+            }
+        EXPECT_GE(isl_slot, 0);
+    }
+}
+
+TEST(TimeExpandedGraph, AsymmetricAdjacencyIsRejected)
+{
+    const std::vector<double> offsets{0.0, 600.0};
+    // One direction of the s0-s1 ISL only, listed from either end.
+    for (const auto& [from, to] : {std::pair{0, 1}, std::pair{1, 0}}) {
+        auto one_way = blank_snapshot();
+        one_way.adjacency[static_cast<std::size_t>(from)].push_back({to, 0.005});
+        const std::vector<lsn::network_snapshot> snaps{chain_snapshot(), one_way};
+        EXPECT_THROW(build_time_expanded_graph_timeline(snaps, offsets, {}, {}),
+                     contract_violation)
+            << from << " -> " << to;
+    }
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 #include "traffic/flow_assignment.h"
 
+#include <algorithm>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "util/expects.h"
@@ -186,6 +189,38 @@ TEST(FlowAssignment, ValidateRejectsDegenerateCapacityOptions)
     EXPECT_THROW(assign_flows_per_pair_baseline(chain_snapshot(),
                                                 single_pair_matrix(1.0), opts),
                  contract_violation);
+}
+
+TEST(FlowAssignment, RepeatedPairIsOneLink)
+{
+    // The s0-s1 ISL listed twice: one link carries the pair's whole load,
+    // with no zero-load twin in the link table.
+    auto doubled = chain_snapshot();
+    add_edge(doubled, 0, 1, 5.0);
+    capacity_options opts;
+    opts.isl_capacity_gbps = 10.0;
+    const auto result = assign_flows(doubled, single_pair_matrix(15.0), opts);
+    EXPECT_EQ(result.n_links, 3);
+    ASSERT_EQ(result.links.size(), 3u);
+    for (const auto& link : result.links) {
+        if (!link.uplink) {
+            EXPECT_DOUBLE_EQ(link.load_gbps, 10.0);
+        }
+    }
+    EXPECT_DOUBLE_EQ(result.delivered_gbps, 10.0);
+}
+
+TEST(FlowAssignment, AsymmetricAdjacencyIsRejected)
+{
+    // One direction of the s0-s1 ISL only, listed from either end.
+    for (const auto& [from, to] : {std::pair{0, 1}, std::pair{1, 0}}) {
+        auto one_way = chain_snapshot();
+        auto& row = one_way.adjacency[static_cast<std::size_t>(to)];
+        row.erase(std::find_if(row.begin(), row.end(),
+                               [&](const auto& e) { return e.to == from; }));
+        EXPECT_THROW(assign_flows(one_way, single_pair_matrix(1.0)), contract_violation)
+            << from << " -> " << to;
+    }
 }
 
 } // namespace

@@ -1,11 +1,16 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/trace.h"
 
 namespace ssplane {
 namespace {
@@ -96,6 +101,52 @@ TEST_F(ParallelTest, ThreadCountOverrideAndRestore)
     set_thread_count(0);
     EXPECT_GE(thread_count(), 1u);
 }
+
+#ifndef SSPLANE_OBS_DISABLED
+
+TEST_F(ParallelTest, PoolJoinIsItsOwnSpanNotTheCallersSelfTime)
+{
+    // A fan-out parent blocked on the pool: the join shows up as a
+    // `pool.wait` span nested in the parent, so the parent's self time is
+    // its own work, not the chunks' sleep.
+    obs::trace_reset();
+    obs::set_tracing_enabled(true);
+    set_thread_count(2);
+    {
+        const obs::span fanout("test.fanout");
+        parallel_for(
+            4,
+            [](std::size_t, std::size_t) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            },
+            1);
+    }
+    obs::set_tracing_enabled(false);
+    const auto spans = obs::trace_snapshot();
+    const auto stats = obs::phase_stats();
+    obs::trace_reset();
+
+    const obs::trace_span* parent = nullptr;
+    const obs::trace_span* wait = nullptr;
+    for (const auto& s : spans) {
+        if (s.name == "test.fanout") parent = &s;
+        if (s.name == "pool.wait") wait = &s;
+    }
+    ASSERT_NE(parent, nullptr);
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(wait->tid, parent->tid);
+    EXPECT_GE(wait->begin_ns, parent->begin_ns);
+    EXPECT_LE(wait->end_ns, parent->end_ns);
+
+    const auto stat = std::find_if(stats.begin(), stats.end(),
+                                   [](const auto& p) { return p.name == "test.fanout"; });
+    ASSERT_NE(stat, stats.end());
+    // Two 10 ms rounds of chunks; the parent only submitted them.
+    EXPECT_GE(stat->wall_ns, 15'000'000u);
+    EXPECT_LT(stat->self_ns * 4, stat->wall_ns);
+}
+
+#endif
 
 } // namespace
 } // namespace ssplane
