@@ -1,8 +1,7 @@
 #include "lsn/routing.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <functional>
 
 #include "obs/metrics.h"
 #include "util/expects.h"
@@ -13,51 +12,92 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Sentinel destinations of the shared Dijkstra core: run a full pass, or
-/// stop once every ground node is settled (the all-pairs traffic primitive).
-constexpr int all_nodes = -1;
-constexpr int all_ground_nodes = -2;
+/// Node path from a pass's source to `node`, read off its predecessors.
+std::vector<int> trace_path(const std::vector<int>& prev, int node)
+{
+    std::vector<int> path;
+    for (int v = node; v != -1; v = prev[static_cast<std::size_t>(v)]) path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
+}
 
-/// Dijkstra core shared by the point-to-point and single-source queries.
-/// Stops as soon as `dst_node` is settled; a sentinel destination settles
-/// the whole graph (`all_nodes`) or every ground node (`all_ground_nodes`
-/// — distances of never-popped satellites are still correct upper bounds
-/// that equal the true distance whenever a ground path runs through them).
-void dijkstra(const network_snapshot& snapshot, int src_node, int dst_node,
-              std::vector<double>& dist, std::vector<int>& prev)
+} // namespace
+
+route_graph make_route_graph(const network_snapshot& snapshot)
+{
+    const int n = static_cast<int>(snapshot.adjacency.size());
+    route_graph graph;
+    std::size_t n_slots = 0;
+    for (const auto& out : snapshot.adjacency) n_slots += out.size();
+    graph.first_slot.reserve(static_cast<std::size_t>(n) + 1);
+    graph.to.reserve(n_slots);
+    graph.weight.reserve(n_slots);
+    graph.first_slot.push_back(0);
+    for (const auto& out : snapshot.adjacency) {
+        for (const auto& e : out) {
+            expects(e.to >= 0 && e.to < n, "snapshot edge leads outside the snapshot");
+            graph.to.push_back(e.to);
+            graph.weight.push_back(e.latency_s);
+        }
+        graph.first_slot.push_back(static_cast<int>(graph.to.size()));
+    }
+    return graph;
+}
+
+void shortest_path_search::run(const route_graph& graph, int src,
+                               std::span<const int> targets)
 {
     // Every routing query in the stack funnels through here, so this one
     // counter is the per-campaign "how many shortest-path solves" figure.
     OBS_COUNT("lsn.dijkstra.runs");
-    const auto n = snapshot.adjacency.size();
-    dist.assign(n, inf);
-    prev.assign(n, -1);
-    using queue_item = std::pair<double, int>; // (distance, node)
-    std::priority_queue<queue_item, std::vector<queue_item>, std::greater<>> queue;
+    const int n = graph.n_nodes();
+    expects(src >= 0 && src < n, "bad source node");
+    const auto size = static_cast<std::size_t>(n);
+    dist_.assign(size, inf);
+    prev_node_.assign(size, -1);
+    prev_slot_.assign(size, -1);
+    is_target_.assign(size, 0);
+    int unsettled = 0;
+    for (const int t : targets) {
+        expects(t >= 0 && t < n, "bad target node");
+        if (is_target_[static_cast<std::size_t>(t)] == 0) {
+            is_target_[static_cast<std::size_t>(t)] = 1;
+            ++unsettled;
+        }
+    }
 
-    int grounds_unsettled = snapshot.n_ground;
-    dist[static_cast<std::size_t>(src_node)] = 0.0;
-    queue.emplace(0.0, src_node);
-    while (!queue.empty()) {
-        const auto [d, u] = queue.top();
-        queue.pop();
-        if (d > dist[static_cast<std::size_t>(u)]) continue;
-        if (u == dst_node) break;
-        if (dst_node == all_ground_nodes && u >= snapshot.n_satellites &&
-            --grounds_unsettled == 0 && u != src_node)
-            break;
-        for (const auto& e : snapshot.adjacency[static_cast<std::size_t>(u)]) {
-            const double nd = d + e.latency_s;
-            if (nd < dist[static_cast<std::size_t>(e.to)]) {
-                dist[static_cast<std::size_t>(e.to)] = nd;
-                prev[static_cast<std::size_t>(e.to)] = u;
-                queue.emplace(nd, e.to);
+    // The same push_heap/pop_heap sequence as a std::priority_queue with
+    // std::greater, on a buffer that outlives the run.
+    const std::greater<> later;
+    heap_.clear();
+    dist_[static_cast<std::size_t>(src)] = 0.0;
+    heap_.emplace_back(0.0, src);
+    while (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        const auto [d, u] = heap_.back();
+        heap_.pop_back();
+        if (d > dist_[static_cast<std::size_t>(u)]) continue;
+        if (is_target_[static_cast<std::size_t>(u)] != 0 && --unsettled == 0) break;
+        const int end = graph.first_slot[static_cast<std::size_t>(u) + 1];
+        for (int s = graph.first_slot[static_cast<std::size_t>(u)]; s < end; ++s) {
+            const double nd = d + graph.weight[static_cast<std::size_t>(s)];
+            const int v = graph.to[static_cast<std::size_t>(s)];
+            if (nd < dist_[static_cast<std::size_t>(v)]) {
+                dist_[static_cast<std::size_t>(v)] = nd;
+                prev_node_[static_cast<std::size_t>(v)] = u;
+                prev_slot_[static_cast<std::size_t>(v)] = s;
+                heap_.emplace_back(nd, v);
+                std::push_heap(heap_.begin(), heap_.end(), later);
             }
         }
     }
 }
 
-} // namespace
+std::vector<int> shortest_path_search::path_to(int node) const
+{
+    if (!reachable(node)) return {};
+    return trace_path(prev_node_, node);
+}
 
 route_result shortest_route(const network_snapshot& snapshot, int src_node, int dst_node)
 {
@@ -65,17 +105,15 @@ route_result shortest_route(const network_snapshot& snapshot, int src_node, int 
     expects(src_node >= 0 && static_cast<std::size_t>(src_node) < n, "bad source node");
     expects(dst_node >= 0 && static_cast<std::size_t>(dst_node) < n, "bad destination node");
 
-    std::vector<double> dist;
-    std::vector<int> prev;
-    dijkstra(snapshot, src_node, dst_node, dist, prev);
+    shortest_path_search search;
+    const int targets[] = {dst_node};
+    search.run(make_route_graph(snapshot), src_node, targets);
 
     route_result result;
-    if (dist[static_cast<std::size_t>(dst_node)] == inf) return result;
+    if (!search.reachable(dst_node)) return result;
     result.reachable = true;
-    result.latency_s = dist[static_cast<std::size_t>(dst_node)];
-    for (int v = dst_node; v != -1; v = prev[static_cast<std::size_t>(v)])
-        result.path.push_back(v);
-    std::reverse(result.path.begin(), result.path.end());
+    result.latency_s = search.distance(dst_node);
+    result.path = search.path_to(dst_node);
     result.hops = static_cast<int>(result.path.size()) - 1;
     return result;
 }
@@ -83,35 +121,27 @@ route_result shortest_route(const network_snapshot& snapshot, int src_node, int 
 std::vector<double> single_source_latencies(const network_snapshot& snapshot,
                                             int src_node)
 {
-    expects(src_node >= 0 &&
-                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
-            "bad source node");
-    std::vector<double> dist;
-    std::vector<int> prev;
-    dijkstra(snapshot, src_node, -1, dist, prev);
-    return dist;
+    shortest_path_search search;
+    search.run(make_route_graph(snapshot), src_node);
+    return search.distances();
 }
 
 std::vector<int> route_tree::path_to(int node) const
 {
     if (!reachable(node)) return {};
-    std::vector<int> path;
-    for (int v = node; v != -1; v = prev[static_cast<std::size_t>(v)])
-        path.push_back(v);
-    std::reverse(path.begin(), path.end());
-    return path;
+    return trace_path(prev, node);
 }
 
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node,
-                                bool ground_targets_only)
+route_tree single_source_routes(const network_snapshot& snapshot, int src_node)
 {
-    expects(src_node >= 0 &&
-                static_cast<std::size_t>(src_node) < snapshot.adjacency.size(),
-            "bad source node");
+    shortest_path_search search;
+    search.run(make_route_graph(snapshot), src_node);
     route_tree tree;
     tree.source = src_node;
-    dijkstra(snapshot, src_node, ground_targets_only ? all_ground_nodes : all_nodes,
-             tree.latency_s, tree.prev);
+    tree.latency_s = search.distances();
+    tree.prev.reserve(tree.latency_s.size());
+    for (int v = 0; v < static_cast<int>(tree.latency_s.size()); ++v)
+        tree.prev.push_back(search.prev_node(v));
     return tree;
 }
 

@@ -525,6 +525,8 @@ void validate(const scenario_sweep_options& options)
     expects(std::isfinite(options.duration_s), "sweep duration must be finite");
     expects(std::isfinite(options.step_s) && options.step_s > 0.0,
             "sweep step must be finite and positive");
+    expects(options.duration_s / options.step_s <= max_sweep_offsets,
+            "sweep grid must have at most max_sweep_offsets offsets");
     expects(std::isfinite(options.min_elevation_rad) &&
                 std::abs(options.min_elevation_rad) <= 0.5 * pi,
             "minimum elevation must be finite and within [-pi/2, pi/2]");
@@ -536,6 +538,8 @@ std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(std::isfinite(duration_s), "sweep duration must be finite");
     expects(step_s > 0.0, "sweep step must be positive");
+    expects(duration_s / step_s <= max_sweep_offsets,
+            "sweep grid must have at most max_sweep_offsets offsets");
     // Offset i is i * step_s, not a running sum: accumulating the step
     // drifts on grids like 0.1 s and can add a spurious final offset.
     std::vector<double> offsets;
@@ -597,11 +601,19 @@ scenario_sweep_result run_scenario_sweep_timeline(
             slot.n_failed = timeline.n_failed_at(static_cast<int>(i));
             slot.giant_fraction = giant_component_fraction(snap, failed);
             slot.pair_latency_s.assign(static_cast<std::size_t>(n_pairs), inf);
+            // Source a reads only grounds b > a, so its pass stops once
+            // those are settled (settled distances are final).
+            const route_graph graph = make_route_graph(snap);
+            std::vector<int> grounds(static_cast<std::size_t>(n_ground));
+            std::iota(grounds.begin(), grounds.end(), snap.n_satellites);
+            shortest_path_search search;
             for (int a = 0; a + 1 < n_ground; ++a) {
-                const auto dist = single_source_latencies(snap, snap.ground_node(a));
+                search.run(graph, grounds[static_cast<std::size_t>(a)],
+                           std::span<const int>(grounds).subspan(
+                               static_cast<std::size_t>(a) + 1));
                 for (int b = a + 1; b < n_ground; ++b)
                     slot.pair_latency_s[pair_index(a, b, n_ground)] =
-                        dist[static_cast<std::size_t>(snap.ground_node(b))];
+                        search.distance(snap.ground_node(b));
             }
             return slot;
         });

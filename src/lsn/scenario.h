@@ -194,18 +194,25 @@ struct scenario_sweep_options {
     double max_isl_range_m = 6.0e6;
 };
 
+/// Largest sweep grid, in offsets: `duration_s / step_s` above this is a
+/// `contract_violation`, so a tiny step fails fast instead of asking for an
+/// unbounded grid (a day at one second is 86 400 offsets).
+constexpr double max_sweep_offsets = 1.0e7;
+
 /// Reject a sweep grid that cannot be swept, with a clear
 /// `contract_violation`: a non-finite `duration_s`, a non-finite or
-/// non-positive `step_s`, a `min_elevation_rad` that is not finite or lies
-/// outside [-pi/2, pi/2], or a non-finite or non-positive
-/// `max_isl_range_m`. Called by every entry point that takes these options.
+/// non-positive `step_s`, more than `max_sweep_offsets` offsets, a
+/// `min_elevation_rad` that is not finite or lies outside [-pi/2, pi/2], or
+/// a non-finite or non-positive `max_isl_range_m`. Called by every entry
+/// point that takes these options.
 void validate(const scenario_sweep_options& options);
 
 /// The sweep time grid: offsets 0, step_s, 2*step_s, ... < duration_s —
 /// shared by every time-stepped sweep so their grids can never drift apart.
 /// A non-positive duration yields an empty grid (sweeps report zeroed
-/// stats); a non-finite duration or a non-positive step is a contract
-/// violation.
+/// stats); a non-finite duration, a non-positive step or a grid of more
+/// than `max_sweep_offsets` offsets is a contract violation, raised before
+/// anything is allocated.
 std::vector<double> sweep_offsets(double duration_s, double step_s);
 
 /// Scalar robustness metrics for one scenario over the sweep window.

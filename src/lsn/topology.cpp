@@ -176,13 +176,6 @@ int first_slot_to(const std::vector<network_snapshot::edge>& out, int to)
 
 } // namespace
 
-int snapshot_links::between(const network_snapshot& snapshot, int a, int b) const
-{
-    const int j = first_slot_to(snapshot.adjacency[static_cast<std::size_t>(a)], b);
-    expects(j >= 0, "path step is not a snapshot link");
-    return at(a, static_cast<std::size_t>(j));
-}
-
 snapshot_links number_links(const network_snapshot& snapshot)
 {
     snapshot_links table;

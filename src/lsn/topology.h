@@ -111,8 +111,6 @@ struct snapshot_links {
     {
         return slot_link[first_slot[static_cast<std::size_t>(u)] + j];
     }
-    /// Link id of (a, b), by a scan of `a`'s handful of adjacency slots.
-    int between(const network_snapshot& snapshot, int a, int b) const;
 };
 
 /// Number the links of `snapshot`. Self loops and asymmetric adjacency (a

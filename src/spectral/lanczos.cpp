@@ -178,6 +178,9 @@ lanczos_result algebraic_connectivity(const csr_matrix& laplacian,
     }
 
     OBS_COUNT_N("spectral.lanczos.iterations", result.iterations);
+    // A solve that hit the iteration cap returns an unconverged Ritz value;
+    // count it (0 otherwise, so the counter is listed whenever λ₂ ran).
+    OBS_COUNT_N("spectral.lanczos.unconverged", result.converged ? 0 : 1);
     // Laplacians are PSD; clamp the tiny negative rounding noise a
     // disconnected graph's zero eigenvalue can bisect to.
     result.lambda2 = std::max(ritz_prev, 0.0);

@@ -37,6 +37,53 @@ double global_clustering(const std::vector<std::vector<int>>& adjacency)
     return triplets == 0 ? 0.0 : static_cast<double>(closed) / static_cast<double>(triplets);
 }
 
+/// One sweep step's alive satellite graph, kept compact (one CSR of ints,
+/// not a list per row) while every step of the sweep is held for the
+/// distinct-graph grouping: the step's failure mask plus its sorted alive
+/// adjacency (`alive_adjacency`) with a hash over both.
+struct step_graph {
+    std::span<const std::uint8_t> failed;
+    std::vector<int> row_ptr; ///< Size n_satellites + 1.
+    std::vector<int> col;
+    std::uint64_t hash = 0;
+
+    bool operator==(const step_graph& other) const
+    {
+        return hash == other.hash && std::ranges::equal(failed, other.failed) &&
+               row_ptr == other.row_ptr && col == other.col;
+    }
+
+    std::vector<std::vector<int>> adjacency() const
+    {
+        std::vector<std::vector<int>> rows(row_ptr.size() - 1);
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            rows[r].assign(col.begin() + row_ptr[r], col.begin() + row_ptr[r + 1]);
+        return rows;
+    }
+};
+
+step_graph make_step_graph(const std::vector<std::vector<int>>& adjacency,
+                           std::span<const std::uint8_t> failed)
+{
+    step_graph graph;
+    graph.failed = failed;
+    // FNV-1a over the mask bytes, then each row's length and columns.
+    graph.hash = 14695981039346656037ull;
+    const auto mix = [&](std::uint64_t word) {
+        graph.hash = (graph.hash ^ word) * 1099511628211ull;
+    };
+    for (const std::uint8_t f : failed) mix(f);
+    graph.row_ptr.reserve(adjacency.size() + 1);
+    graph.row_ptr.push_back(0);
+    for (const auto& row : adjacency) {
+        graph.col.insert(graph.col.end(), row.begin(), row.end());
+        graph.row_ptr.push_back(static_cast<int>(graph.col.size()));
+        mix(row.size());
+        for (const int c : row) mix(static_cast<std::uint64_t>(c));
+    }
+    return graph;
+}
+
 } // namespace
 
 void validate(const percolation_options& options) { validate(options.lanczos); }
@@ -258,20 +305,43 @@ percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::failure_timeline& timeline, const percolation_options& options)
 {
     validate(options);
-    const auto per_step = lsn::sweep_steps(
+    const auto graphs = lsn::sweep_steps(
         builder, offsets_s, positions, timeline,
         [&](std::size_t i, std::span<const std::uint8_t> failed) {
-            return analyze_percolation(
-                builder.snapshot_from_positions(positions[i], failed), failed, options);
+            return make_step_graph(
+                alive_adjacency(builder.snapshot_from_positions(positions[i], failed),
+                                failed),
+                failed);
         });
 
-    const std::size_t n_steps = per_step.size();
+    // Steps whose alive graphs are equal (a static mask over a graph the
+    // range gate leaves alone, a timeline row that stops changing) share
+    // one analysis. Grouping is one serial pass in step order; the hash
+    // screens, the exact compare decides.
+    std::vector<std::size_t> first_step;             // per distinct graph
+    std::vector<std::size_t> group(graphs.size(), 0); // per step
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        std::size_t g = 0;
+        while (g < first_step.size() && graphs[first_step[g]] != graphs[i]) ++g;
+        if (g == first_step.size()) first_step.push_back(i);
+        group[i] = g;
+    }
+    // Exact: the analysis reads only the graph, the mask and `options`
+    // (the Lanczos start vector depends only on `options.lanczos.seed`).
+    const auto per_graph =
+        parallel_map<percolation_metrics>(first_step.size(), [&](std::size_t g) {
+            const step_graph& graph = graphs[first_step[g]];
+            return analyze_adjacency(graph.adjacency(), graph.failed, options);
+        });
+
+    const std::size_t n_steps = graphs.size();
     percolation_sweep_result result;
     result.step_lambda2.reserve(n_steps);
     result.step_giant_fraction.reserve(n_steps);
     result.step_susceptibility.reserve(n_steps);
     result.step_clustering.reserve(n_steps);
-    for (const percolation_metrics& m : per_step) {
+    for (const std::size_t g : group) {
+        const percolation_metrics& m = per_graph[g];
         result.step_lambda2.push_back(m.lambda2);
         result.step_giant_fraction.push_back(m.giant_component_fraction);
         result.step_susceptibility.push_back(m.susceptibility);

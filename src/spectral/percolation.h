@@ -173,8 +173,11 @@ struct percolation_sweep_result {
 };
 
 /// Sweep the timeline over the time grid: each step analyzes the
-/// range-gated snapshot graph under `timeline.step(i)`. Bit-identical for
-/// any SSPLANE_THREADS value (per-step result slots).
+/// range-gated snapshot graph under `timeline.step(i)`. Steps whose alive
+/// graph and mask are equal are analyzed once (`analyze_adjacency` per
+/// distinct graph, results scattered back to their steps) — exact, since
+/// the analysis reads nothing else. Bit-identical for any SSPLANE_THREADS
+/// value (per-step and per-graph result slots, grouping in step order).
 percolation_sweep_result run_percolation_sweep_timeline(
     const lsn::snapshot_builder& builder, std::span<const double> offsets_s,
     const std::vector<std::vector<vec3>>& positions,

@@ -40,52 +40,51 @@ edge_table build_edge_table(const lsn::network_snapshot& snapshot,
     return table;
 }
 
-/// Congestion-penalized weight graph over the live links: saturated links
-/// drop out, loaded links weigh latency * (1 + penalty * utilization).
-/// Positions are not copied — Dijkstra reads only the adjacency.
-lsn::network_snapshot make_weight_graph(const lsn::network_snapshot& snapshot,
-                                        const edge_table& table,
-                                        const capacity_options& options)
+/// Overwrite `graph`'s weights from the live loads: a saturated link's
+/// slots get +inf (they never relax), a loaded link weighs latency * (1 +
+/// penalty * utilization). `latency_s` holds each slot's own latency.
+void reweigh(const edge_table& table, const std::vector<double>& latency_s,
+             const capacity_options& options, lsn::route_graph& graph)
 {
-    lsn::network_snapshot weights;
-    weights.n_satellites = snapshot.n_satellites;
-    weights.n_ground = snapshot.n_ground;
-    weights.adjacency.resize(snapshot.adjacency.size());
-    for (int u = 0; u < static_cast<int>(snapshot.adjacency.size()); ++u) {
-        auto& out = weights.adjacency[static_cast<std::size_t>(u)];
-        const auto& in = snapshot.adjacency[static_cast<std::size_t>(u)];
-        for (std::size_t j = 0; j < in.size(); ++j) {
-            const auto& e = in[j];
-            const auto& link = table.links[static_cast<std::size_t>(table.ids.at(u, j))];
-            if (link.capacity_gbps - link.load_gbps <= flow_eps_gbps) continue;
-            out.push_back({e.to, e.latency_s * (1.0 + options.congestion_penalty *
-                                                          link.utilization())});
-        }
+    for (std::size_t s = 0; s < graph.weight.size(); ++s) {
+        const auto& link = table.links[static_cast<std::size_t>(table.ids.slot_link[s])];
+        graph.weight[s] = link.capacity_gbps - link.load_gbps <= flow_eps_gbps
+                              ? std::numeric_limits<double>::infinity()
+                              : latency_s[s] * (1.0 + options.congestion_penalty *
+                                                          link.utilization());
     }
-    return weights;
 }
 
-/// Route as much of `remaining` as fits along `path` (node indices),
-/// bounded by the bottleneck residual capacity. Returns the flow placed.
-double place_flow_on_path(const lsn::network_snapshot& snapshot,
-                          const std::vector<int>& path, double remaining,
+/// Link ids of the last pass's path from its source to `node`, source
+/// first; empty when `node` was not reached. The route graph's slots are
+/// numbered like `table.ids`, so each hop is one slot lookup.
+void path_links(const lsn::shortest_path_search& search, const edge_table& table,
+                int node, std::vector<int>& links)
+{
+    links.clear();
+    for (int v = node; search.prev_slot(v) != -1; v = search.prev_node(v))
+        links.push_back(
+            table.ids.slot_link[static_cast<std::size_t>(search.prev_slot(v))]);
+    std::reverse(links.begin(), links.end());
+}
+
+/// Route as much of `remaining` as fits along `links` (link ids, source
+/// first), bounded by the bottleneck residual capacity. Returns the flow
+/// placed.
+double place_flow_on_path(const std::vector<int>& links, double remaining,
                           edge_table& table, double& latency_flow_sum_s)
 {
-    if (path.size() < 2) return 0.0;
-    const auto hop = [&](std::size_t i) -> link_load& {
-        return table.links[static_cast<std::size_t>(
-            table.ids.between(snapshot, path[i - 1], path[i]))];
-    };
+    if (links.empty()) return 0.0;
     double bottleneck = std::numeric_limits<double>::infinity();
     double path_latency_s = 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i) {
-        const auto& link = hop(i);
+    for (const int id : links) {
+        const auto& link = table.links[static_cast<std::size_t>(id)];
         bottleneck = std::min(bottleneck, link.capacity_gbps - link.load_gbps);
         path_latency_s += link.latency_s;
     }
     const double flow = std::min(remaining, bottleneck);
     if (flow <= flow_eps_gbps) return 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i) hop(i).load_gbps += flow;
+    for (const int id : links) table.links[static_cast<std::size_t>(id)].load_gbps += flow;
     latency_flow_sum_s += flow * path_latency_s;
     return flow;
 }
@@ -121,16 +120,14 @@ flow_result finalize(const traffic_matrix& matrix, edge_table table,
     return result;
 }
 
-/// Shared skeleton of the fast and naive paths. `route_pair(weights, round,
-/// a, b)` returns the path for one pair; the fast path serves it from a
-/// per-(round, source) tree, the naive one from a fresh point-to-point
-/// Dijkstra. When `rebuild_per_pair` is set the weight graph is rebuilt
-/// from live loads before every query instead of once per round.
-template <class RoutePair>
+/// The water-filling round loop of both paths. Per round and source, the
+/// fast path (`per_pair_baseline` false) weighs the graph once and runs one
+/// Dijkstra pass that stops when every ground still owed demand by that
+/// source is settled; the baseline reweighs from live loads and runs a
+/// point-to-point pass before every pair.
 flow_result run_rounds(const lsn::network_snapshot& snapshot,
                        const traffic_matrix& matrix,
-                       const capacity_options& options, bool rebuild_per_pair,
-                       RoutePair&& route_pair)
+                       const capacity_options& options, bool per_pair_baseline)
 {
     OBS_SPAN("traffic.assign");
     OBS_COUNT("traffic.assign.calls");
@@ -140,6 +137,11 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
 
     const int n = matrix.n_stations;
     edge_table table = build_edge_table(snapshot, options);
+    lsn::route_graph graph = lsn::make_route_graph(snapshot);
+    const std::vector<double> latency_s = graph.weight;
+    lsn::shortest_path_search search;
+    std::vector<int> targets;
+    std::vector<int> links;
 
     std::vector<double> remaining(matrix.demand_gbps);
     std::vector<double> pair_delivered(
@@ -160,17 +162,31 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
          ++round) {
         OBS_COUNT("traffic.assign.rounds");
         double round_flow = 0.0;
-        lsn::network_snapshot weights;
-        if (!rebuild_per_pair) weights = make_weight_graph(snapshot, table, options);
+        if (!per_pair_baseline) reweigh(table, latency_s, options, graph);
         for (int a = 0; a + 1 < n; ++a) {
+            // Fast path: one pass per source serves all its pairs this
+            // round, run lazily so a source owed nothing costs nothing.
+            // Its targets are exactly the pairs the loop below routes:
+            // placing one pair's flow changes no other pair's remainder.
+            bool searched = false;
             for (int b = a + 1; b < n; ++b) {
                 double& pair_remaining = at(remaining, a, b);
                 if (pair_remaining <= flow_eps_gbps) continue;
-                if (rebuild_per_pair)
-                    weights = make_weight_graph(snapshot, table, options);
-                const auto path = route_pair(weights, round, a, b);
-                const double flow = place_flow_on_path(snapshot, path, pair_remaining,
-                                                       table, latency_flow_sum_s);
+                if (per_pair_baseline) {
+                    reweigh(table, latency_s, options, graph);
+                    const int target[] = {snapshot.ground_node(b)};
+                    search.run(graph, snapshot.ground_node(a), target);
+                } else if (!searched) {
+                    targets.clear();
+                    for (int c = b; c < n; ++c)
+                        if (at(remaining, a, c) > flow_eps_gbps)
+                            targets.push_back(snapshot.ground_node(c));
+                    search.run(graph, snapshot.ground_node(a), targets);
+                    searched = true;
+                }
+                path_links(search, table, snapshot.ground_node(b), links);
+                const double flow = place_flow_on_path(links, pair_remaining, table,
+                                                       latency_flow_sum_s);
                 if (flow <= 0.0) continue;
                 pair_remaining -= flow;
                 total_remaining -= flow;
@@ -181,7 +197,7 @@ flow_result run_rounds(const lsn::network_snapshot& snapshot,
             }
         }
         // A zero-yield round changed no load, so every later round would
-        // recompute identical graphs and trees to place nothing: stop.
+        // recompute identical weights and trees to place nothing: stop.
         if (round_flow <= flow_eps_gbps) break;
     }
     return finalize(matrix, std::move(table), std::move(pair_delivered), offered,
@@ -210,35 +226,14 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const traffic_matrix& matrix,
                          const capacity_options& options)
 {
-    // One Dijkstra tree per source serves every pair of that source this
-    // round; trees are computed lazily so exhausted sources cost nothing.
-    lsn::route_tree tree;
-    int tree_source = -1;
-    int tree_round = -1;
-    return run_rounds(
-        snapshot, matrix, options, /*rebuild_per_pair=*/false,
-        [&](const lsn::network_snapshot& weights, int round, int a, int b) {
-            if (tree_source != a || tree_round != round) {
-                tree = lsn::single_source_routes(weights, weights.ground_node(a),
-                                                 /*ground_targets_only=*/true);
-                tree_source = a;
-                tree_round = round;
-            }
-            return tree.path_to(weights.ground_node(b));
-        });
+    return run_rounds(snapshot, matrix, options, /*per_pair_baseline=*/false);
 }
 
 flow_result assign_flows_per_pair_baseline(const lsn::network_snapshot& snapshot,
                                            const traffic_matrix& matrix,
                                            const capacity_options& options)
 {
-    return run_rounds(
-        snapshot, matrix, options, /*rebuild_per_pair=*/true,
-        [](const lsn::network_snapshot& weights, int, int a, int b) {
-            return lsn::shortest_route(weights, weights.ground_node(a),
-                                       weights.ground_node(b))
-                .path;
-        });
+    return run_rounds(snapshot, matrix, options, /*per_pair_baseline=*/true);
 }
 
 } // namespace ssplane::traffic

@@ -1,16 +1,20 @@
 // Capacity-aware multipath flow assignment over one network snapshot.
 //
 // Greedy k-round water-filling: every round freezes a congestion-penalized
-// latency weight on each live (non-saturated) link, computes one shortest-
-// path tree per *source* gateway through the shared Dijkstra core in
-// `lsn/routing` (`single_source_routes`), and routes each pair's remaining
-// demand along its tree path up to the path's bottleneck residual capacity.
-// Demand that does not fit spills to the next round, where saturated links
-// have dropped out and loaded links weigh more — the k rounds therefore
-// realize k-shortest-path splitting without per-pair re-Dijkstra. Pair
-// order is fixed (a < b, row order), so results are deterministic. Loads
-// are kept per `lsn::number_links` link — one per distinct node pair, the
-// numbering the tempo engine's capacity slots use.
+// latency weight on each link, computes one shortest-path tree per
+// *source* gateway through the one Dijkstra core in `lsn/routing`, and
+// routes each pair's remaining demand along its tree path up to the path's
+// bottleneck residual capacity. Demand that does not fit spills to the
+// next round, where saturated links are out of service and loaded links
+// weigh more — the k rounds therefore realize k-shortest-path splitting
+// without per-pair re-Dijkstra. Each assignment builds one CSR route graph
+// and overwrites its slot weights in place every round (a saturated link's
+// slots get +inf, which never relaxes), reuses one set of Dijkstra buffers
+// across sources and rounds, and stops a source's pass once every ground
+// that source still owes demand is settled. Pair order is fixed (a < b, row
+// order), so results are deterministic. Loads are kept per
+// `lsn::number_links` link — one per distinct node pair, the numbering the
+// tempo engine's capacity slots use.
 #ifndef SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 #define SSPLANE_TRAFFIC_FLOW_ASSIGNMENT_H
 
@@ -54,6 +58,7 @@ struct link_load {
     {
         return capacity_gbps > 0.0 ? load_gbps / capacity_gbps : 0.0;
     }
+    friend bool operator==(const link_load&, const link_load&) = default;
 };
 
 /// Delivered-throughput outcome of one assignment.
@@ -80,6 +85,8 @@ struct flow_result {
                                    static_cast<std::size_t>(b)];
     }
     int n_stations = 0;
+
+    friend bool operator==(const flow_result&, const flow_result&) = default;
 };
 
 /// Assign `matrix` over `snapshot` (matrix.n_stations must equal
@@ -89,8 +96,8 @@ flow_result assign_flows(const lsn::network_snapshot& snapshot,
                          const capacity_options& options = {});
 
 /// Reference baseline: identical water-filling semantics but one
-/// point-to-point Dijkstra per (pair, round) on a weight graph rebuilt from
-/// the live loads before every query — the naive implementation the fast
+/// point-to-point Dijkstra per (pair, round) on weights refilled from the
+/// live loads before every query — the naive implementation the fast
 /// path is benchmarked against (`bm_traffic_assign` vs
 /// `bm_traffic_assign_baseline`). Results can differ slightly from
 /// `assign_flows` because the naive weights see mid-round loads.

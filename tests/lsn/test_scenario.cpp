@@ -356,6 +356,31 @@ TEST(Scenario, ValidateRejectsUnsweepableGrids)
     EXPECT_THROW(sweep_offsets(nan, 300.0), contract_violation);
 }
 
+TEST(Scenario, TinyStepsAreRejectedBeforeTheGridIsBuilt)
+{
+    // A one-day sweep at 1e-9 s would need 8.64e13 offsets: both the
+    // options check and the grid helper throw instead of allocating.
+    scenario_sweep_options tiny;
+    tiny.step_s = 1.0e-9;
+    EXPECT_THROW(validate(tiny), contract_violation);
+    EXPECT_THROW(sweep_offsets(tiny.duration_s, tiny.step_s), contract_violation);
+    EXPECT_THROW(sweep_offsets(max_sweep_offsets + 1.0, 1.0), contract_violation);
+
+    // Every grid the examples and benchmarks sweep stays accepted, and so
+    // does a grid of exactly max_sweep_offsets offsets (checked without
+    // building it).
+    for (const double step_s : {0.01, 1.0, 300.0, 1800.0, 3600.0, 14400.0, 21600.0}) {
+        scenario_sweep_options grid;
+        grid.step_s = step_s;
+        EXPECT_NO_THROW(validate(grid)) << step_s;
+    }
+    scenario_sweep_options edge;
+    edge.duration_s = max_sweep_offsets;
+    edge.step_s = 1.0;
+    EXPECT_NO_THROW(validate(edge));
+    EXPECT_EQ(sweep_offsets(86400.0, 1.0).size(), 86400u);
+}
+
 TEST(Scenario, DegenerateTimeGrids)
 {
     EXPECT_TRUE(sweep_offsets(0.0, 300.0).empty());

@@ -366,8 +366,6 @@ TEST(Topology, NumberLinksGivesOneIdPerPairInLowerNodeOrder)
             const auto& link = table.links[static_cast<std::size_t>(table.at(u, j))];
             EXPECT_EQ(std::minmax(u, to), std::minmax(link.a, link.b));
         }
-    EXPECT_EQ(table.between(snap, 2, 1), 2);
-    EXPECT_THROW(table.between(snap, 1, 3), contract_violation);
 
     auto looped = snap;
     looped.adjacency[1].push_back({1, 0.0});

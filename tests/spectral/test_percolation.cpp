@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/angles.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -252,6 +253,57 @@ TEST(PercolationSweep, TimelineTrajectoriesAndThreadInvariance)
         }
         EXPECT_DOUBLE_EQ(parallel.lambda2_mean, serial.lambda2_mean);
         EXPECT_DOUBLE_EQ(parallel.giant_fraction_min, serial.giant_fraction_min);
+    }
+    set_thread_count(0);
+}
+
+TEST(PercolationSweep, EqualGraphsAreSolvedOnce)
+{
+    // Satellite 24 has no links, so failing it leaves the alive adjacency
+    // as it was: only the mask tells the two graphs apart.
+    lsn::lsn_topology topo = lsn::build_walker_grid_topology(small_walker(5, 5));
+    std::erase_if(topo.links, [](const lsn::isl_link& l) { return l.a == 24 || l.b == 24; });
+    // A range gate no link exceeds: a step's graph is the static wiring
+    // minus its mask, so equal masks give equal graphs.
+    const lsn::snapshot_builder builder(topo, {}, astro::instant::j2000(),
+                                        deg2rad(30.0), 1.0e8);
+    const std::vector<double> offsets = lsn::sweep_offsets(4.0 * 1800.0, 1800.0);
+    ASSERT_EQ(offsets.size(), 4u);
+    const auto positions = builder.positions_at_offsets(offsets);
+
+    // Rows A, A, B, A: A loses nothing, B loses the isolated satellite.
+    lsn::failure_timeline timeline;
+    timeline.n_satellites = 25;
+    timeline.n_steps = 4;
+    timeline.masks.assign(4u * 25u, 0);
+    timeline.masks[2u * 25u + 24u] = 1;
+
+    const percolation_options options;
+    for (const unsigned threads : {1u, 4u}) {
+        set_thread_count(threads);
+#ifndef SSPLANE_OBS_DISABLED
+        const obs::counter& solves =
+            obs::registry::instance().get_counter("spectral.lanczos.solves");
+        const std::uint64_t before = solves.value();
+#endif
+        const percolation_sweep_result sweep =
+            run_percolation_sweep_timeline(builder, offsets, positions, timeline, options);
+#ifndef SSPLANE_OBS_DISABLED
+        EXPECT_EQ(solves.value() - before, 2u) << threads << " threads";
+#endif
+        ASSERT_EQ(sweep.step_lambda2.size(), 4u);
+        for (std::size_t i = 0; i < 4; ++i) {
+            const auto failed = timeline.step(static_cast<int>(i));
+            const percolation_metrics direct = analyze_percolation(
+                builder.snapshot_from_positions(positions[i], failed), failed, options);
+            EXPECT_EQ(sweep.step_lambda2[i], direct.lambda2) << i;
+            EXPECT_EQ(sweep.step_giant_fraction[i], direct.giant_component_fraction) << i;
+            EXPECT_EQ(sweep.step_susceptibility[i], direct.susceptibility) << i;
+            EXPECT_EQ(sweep.step_clustering[i], direct.clustering_coefficient) << i;
+        }
+        // A's isolated survivor disconnects it; B's survivors are one piece.
+        EXPECT_GT(sweep.step_lambda2[2], 1.0e-3);
+        EXPECT_LT(sweep.step_lambda2[0], 1.0e-6);
     }
     set_thread_count(0);
 }
