@@ -120,6 +120,20 @@ void bm_greedy_small(benchmark::State& state)
 }
 BENCHMARK(bm_greedy_small)->Unit(benchmark::kMillisecond);
 
+void bm_greedy_cover(benchmark::State& state)
+{
+    // The default 0.5° x 0.25 h grid the figures design on: at this size the
+    // per-iteration grid work dominates, which the 2° x 1 h grid above hides.
+    static const core::design_problem problem = [] {
+        const demand::demand_model model(bench_population(), demand::demand_options{});
+        return core::make_design_problem(model, 200.0);
+    }();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(core::greedy_ss_cover(problem));
+    }
+}
+BENCHMARK(bm_greedy_cover)->Unit(benchmark::kMillisecond);
+
 /// 40x40 Walker grid shared by the scenario-sweep benches.
 const lsn::lsn_topology& bench_walker_grid()
 {

@@ -36,6 +36,16 @@ struct radiation_eval_options {
 
 /// Radiation summary for an SS design: one representative satellite per
 /// sampled plane (satellites within a plane see near-identical daily doses).
+///
+/// For n planes and m = `max_sampled_planes` it takes every stride-th plane
+/// from plane 0, stride = max(1, n / m) (integer division), and weights
+/// each sample by n_sats x stride. So m is not a maximum:
+/// - n < 2m samples every plane (up to 2m - 1 of them);
+/// - larger designs sample ceil(n / stride) planes, which lies in
+///   [m, 1.5m]: 130 planes give 26 samples at m = 24, 12217 give 25;
+/// - the last sample keeps the full stride weight even when fewer planes
+///   follow it, so the samples stand for more than n planes (at 12217
+///   planes the last one weighs 509 planes but only one is left).
 constellation_radiation_summary ss_constellation_radiation(
     const ss_design_result& design,
     const radiation::radiation_environment& env,

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
-#include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -12,35 +13,47 @@
 #include "geo/coverage.h"
 #include "util/angles.h"
 #include "util/expects.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ssplane::core {
 
 namespace {
 
-/// Residual demand a plane with the given mask would remove.
-double coverable_demand(const geo::grid2d& residual,
-                        const std::vector<std::uint8_t>& mask)
+/// A stretch [begin, end) of covered flat cell indices within one row.
+struct cell_run {
+    std::size_t row = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/// A plane's coverage mask as its covered runs in ascending index order.
+using plane_runs = std::vector<cell_run>;
+
+/// Residual demand a plane with the given runs would remove. Runs are walked
+/// in ascending index order, the order of a dense pass over the grid, so the
+/// sum is bit-identical to one.
+double coverable_demand(const geo::grid2d& residual, const plane_runs& runs)
 {
     double sum = 0.0;
     const auto values = residual.values();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (mask[i]) sum += std::min(values[i], 1.0);
+    for (const auto& run : runs) {
+        for (std::size_t i = run.begin; i < run.end; ++i)
+            sum += std::min(values[i], 1.0);
     }
     return sum;
 }
 
-/// Subtract one capacity along the mask, clamping at zero; returns removed.
-double apply_plane(geo::grid2d& residual, const std::vector<std::uint8_t>& mask)
+/// Subtract one capacity along the runs, clamping at zero; returns removed.
+double apply_plane(geo::grid2d& residual, const plane_runs& runs)
 {
     double removed = 0.0;
     const auto values = residual.values();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!mask[i]) continue;
-        const double take = std::min(values[i], 1.0);
-        values[i] -= take;
-        removed += take;
+    for (const auto& run : runs) {
+        for (std::size_t i = run.begin; i < run.end; ++i) {
+            const double take = std::min(values[i], 1.0);
+            values[i] -= take;
+            removed += take;
+        }
     }
     return removed;
 }
@@ -51,7 +64,7 @@ struct seed_cell {
     std::size_t col = 0;
 };
 
-/// Memoized coverage masks for one greedy run. Planes are keyed by their
+/// Memoized coverage runs for one greedy run. Planes are keyed by their
 /// exact (inclination, ltan, swath): repeated seeds (cells needing several
 /// capacities) solve to bit-identical LTANs, so their masks never get
 /// rebuilt.
@@ -59,37 +72,100 @@ class mask_cache {
 public:
     explicit mask_cache(const geo::lat_tod_grid& grid) : table_(grid) {}
 
-    using mask_ptr = std::shared_ptr<const std::vector<std::uint8_t>>;
-
-    mask_ptr mask_for(double inclination_rad, double ltan_h, double swath_rad)
+    /// The returned reference stays valid for the cache's lifetime.
+    const plane_runs& runs_for(double inclination_rad, double ltan_h, double swath_rad)
     {
         const auto key = std::make_tuple(inclination_rad, ltan_h, swath_rad);
         if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
-        auto mask = std::make_shared<std::vector<std::uint8_t>>();
-        table_.coverage_mask(inclination_rad, ltan_h, swath_rad, *mask);
-        return cache_.emplace(key, std::move(mask)).first->second;
+        table_.coverage_mask(inclination_rad, ltan_h, swath_rad, dense_);
+        const std::size_t cols = table_.n_tod();
+        plane_runs runs;
+        for (std::size_t r = 0; r < table_.n_lat(); ++r) {
+            const std::uint8_t* row = dense_.data() + r * cols;
+            std::size_t c = 0;
+            while (c < cols) {
+                if (!row[c]) {
+                    ++c;
+                    continue;
+                }
+                const std::size_t first = c;
+                while (c < cols && row[c]) ++c;
+                runs.push_back({r, r * cols + first, r * cols + c});
+            }
+        }
+        return cache_.emplace(key, std::move(runs)).first->second;
     }
 
 private:
     sun_frame_table table_;
-    std::map<std::tuple<double, double, double>, mask_ptr> cache_;
+    std::vector<std::uint8_t> dense_; // scratch for coverage_mask
+    std::map<std::tuple<double, double, double>, plane_runs> cache_;
 };
 
-seed_cell pick_seed(const geo::grid2d& residual, seed_rule rule, rng& random)
+/// Per-row maximum residual and the first column holding it, kept current
+/// for seed_rule::max_demand. Values only fall, and only inside applied
+/// runs, so a row's entry can change only when its recorded cell was hit.
+class row_max_table {
+public:
+    explicit row_max_table(const geo::grid2d& residual) : rows_(residual.rows())
+    {
+        for (std::size_t r = 0; r < rows_.size(); ++r) rescan(residual, r);
+    }
+
+    void rescan(const geo::grid2d& residual, std::size_t row)
+    {
+        entry best;
+        const auto values = residual.row_span(row);
+        for (std::size_t c = 0; c < values.size(); ++c) {
+            if (values[c] > best.value) best = {values[c], c};
+        }
+        rows_[row] = best;
+    }
+
+    /// Refresh the rows whose recorded maximum lies inside an applied run.
+    /// A row without a positive cell never gains one, so it is skipped.
+    void update(const geo::grid2d& residual, const plane_runs& runs)
+    {
+        for (const auto& run : runs) {
+            const entry& max = rows_[run.row];
+            const std::size_t at = run.row * residual.cols() + max.col;
+            if (max.value > 0.0 && at >= run.begin && at < run.end)
+                rescan(residual, run.row);
+        }
+    }
+
+    /// First row-major cell holding the positive maximum: the first row
+    /// whose maximum is strictly greater, at that row's first column.
+    seed_cell pick() const
+    {
+        seed_cell seed;
+        double best = 0.0;
+        for (std::size_t r = 0; r < rows_.size(); ++r) {
+            if (rows_[r].value > best) {
+                best = rows_[r].value;
+                seed = {true, r, rows_[r].col};
+            }
+        }
+        return seed;
+    }
+
+private:
+    struct entry {
+        double value = 0.0;
+        std::size_t col = 0;
+    };
+    std::vector<entry> rows_;
+};
+
+seed_cell pick_seed(const geo::grid2d& residual, seed_rule rule,
+                    const std::optional<row_max_table>& row_max, rng& random)
 {
     seed_cell seed;
     const auto values = residual.values();
     switch (rule) {
-    case seed_rule::max_demand: {
-        double best = 0.0;
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (values[i] > best) {
-                best = values[i];
-                seed = {true, i / residual.cols(), i % residual.cols()};
-            }
-        }
+    case seed_rule::max_demand:
+        seed = row_max->pick();
         break;
-    }
     case seed_rule::min_demand: {
         double best = std::numeric_limits<double>::infinity();
         for (std::size_t i = 0; i < values.size(); ++i) {
@@ -156,9 +232,11 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
     geo::lat_tod_grid residual = problem.demand; // working copy
     rng random(options.seed);
     mask_cache masks(residual);
+    std::optional<row_max_table> row_max;
+    if (options.rule == seed_rule::max_demand) row_max.emplace(residual.field());
 
     for (int iteration = 0; iteration < options.max_planes; ++iteration) {
-        const seed_cell seed = pick_seed(residual.field(), options.rule, random);
+        const seed_cell seed = pick_seed(residual.field(), options.rule, row_max, random);
         if (!seed.found) break;
 
         const double lat = residual.latitude_center_deg(seed.row);
@@ -167,11 +245,10 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
 
         // The max-demand latitude is always reachable for SS inclinations at
         // LEO (|lat| <= ~82°); guard anyway by skipping unreachable rows.
-        std::vector<std::pair<double, mask_cache::mask_ptr>> candidates;
+        std::vector<std::pair<double, const plane_runs*>> candidates;
         const auto add_candidate = [&](std::optional<double> ltan) {
             if (!ltan) return;
-            candidates.emplace_back(*ltan,
-                                    masks.mask_for(*inclination, *ltan, swath));
+            candidates.emplace_back(*ltan, &masks.runs_for(*inclination, *ltan, swath));
         };
         add_candidate(ltans.ascending);
         if (options.try_both_branches) add_candidate(ltans.descending);
@@ -180,25 +257,25 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
             // report unsatisfied residual demand at the end.
             for (std::size_t c = 0; c < residual.n_tod(); ++c)
                 residual.field()(seed.row, c) = 0.0;
+            if (row_max) row_max->rescan(residual.field(), seed.row);
             continue;
         }
 
-        // Score candidates concurrently (index-ordered results keep the
-        // tie-break — first best wins — identical to the serial loop).
-        const auto covers = parallel_map<double>(
-            candidates.size(), [&](std::size_t i) {
-                return coverable_demand(residual.field(), *candidates[i].second);
-            });
+        // Scored serially: a pool dispatch per candidate costs more than the
+        // run walk it would parallelize. First best wins ties.
         std::size_t best = 0;
         double best_cover = -1.0;
-        for (std::size_t i = 0; i < covers.size(); ++i) {
-            if (covers[i] > best_cover) {
-                best_cover = covers[i];
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            const double cover = coverable_demand(residual.field(), *candidates[i].second);
+            if (cover > best_cover) {
+                best_cover = cover;
                 best = i;
             }
         }
 
-        const double removed = apply_plane(residual.field(), *candidates[best].second);
+        const plane_runs& chosen = *candidates[best].second;
+        const double removed = apply_plane(residual.field(), chosen);
+        if (row_max) row_max->update(residual.field(), chosen);
         result.planes.push_back({candidates[best].first, *inclination,
                                  problem.altitude_m, sats_per_plane, removed});
     }

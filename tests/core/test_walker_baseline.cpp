@@ -16,13 +16,13 @@ const demand::population_model& shared_population()
     return model;
 }
 
-design_problem coarse_problem(double multiplier)
+design_problem coarse_problem(double multiplier, double altitude_m = 560.0e3)
 {
     demand::demand_options opts;
     opts.lat_cell_deg = 2.0;
     opts.tod_cell_h = 1.0;
     const demand::demand_model model(shared_population(), opts);
-    return make_design_problem(model, multiplier);
+    return make_design_problem(model, multiplier, altitude_m);
 }
 
 wd_baseline_options fast_options()
@@ -90,6 +90,34 @@ TEST(WalkerBaseline, SizingCacheMakesRepeatDesignFast)
     EXPECT_TRUE(result.satisfied);
     EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
               500);
+}
+
+TEST(WalkerBaseline, ReusedDesignerMatchesFreshDesigner)
+{
+    // The sizing memo must not serve a 560 km problem's shells to a
+    // 1200 km one.
+    const auto high = coarse_problem(3.0, 1200.0e3);
+    walker_baseline_designer reused(fast_options());
+    (void)reused.design(coarse_problem(3.0));
+    const auto from_reused = reused.design(high);
+    walker_baseline_designer fresh(fast_options());
+    const auto from_fresh = fresh.design(high);
+
+    ASSERT_EQ(from_reused.shells.size(), from_fresh.shells.size());
+    for (std::size_t i = 0; i < from_fresh.shells.size(); ++i) {
+        const auto& a = from_reused.shells[i].parameters;
+        const auto& b = from_fresh.shells[i].parameters;
+        EXPECT_EQ(from_reused.shells[i].altitude_m, from_fresh.shells[i].altitude_m);
+        EXPECT_EQ(a.altitude_m, b.altitude_m);
+        EXPECT_EQ(a.inclination_rad, b.inclination_rad);
+        EXPECT_EQ(a.n_planes, b.n_planes);
+        EXPECT_EQ(a.sats_per_plane, b.sats_per_plane);
+        EXPECT_EQ(a.phasing_f, b.phasing_f);
+        EXPECT_EQ(a.raan0_rad, b.raan0_rad);
+        EXPECT_EQ(a.anomaly0_rad, b.anomaly0_rad);
+    }
+    EXPECT_EQ(from_reused.total_satellites, from_fresh.total_satellites);
+    EXPECT_EQ(from_reused.satisfied, from_fresh.satisfied);
 }
 
 TEST(WalkerBaseline, OverlapCreditReducesShells)
