@@ -251,7 +251,7 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
             candidates.emplace_back(*ltan, &masks.runs_for(*inclination, *ltan, swath));
         };
         add_candidate(ltans.ascending);
-        if (options.try_both_branches) add_candidate(ltans.descending);
+        add_candidate(ltans.descending);
         if (candidates.empty()) {
             // Unreachable latitude: zero its row so the loop can progress and
             // report unsatisfied residual demand at the end.

@@ -32,7 +32,6 @@ struct ss_design_options {
     int max_planes = 200000;     ///< Safety cap.
     seed_rule rule = seed_rule::max_demand;
     std::uint64_t seed = 42;     ///< Only used by seed_rule::random_cell.
-    bool try_both_branches = true; ///< Evaluate ascending & descending LTANs.
 };
 
 /// One selected plane.

@@ -142,10 +142,8 @@ campaign_result run_campaign(const experiment_plan& plan,
     OBS_SPAN("campaign.run");
     OBS_COUNT("exp.campaign.runs");
     const cache_statistics cache_before = context.cache_stats();
-#ifndef SSPLANE_OBS_DISABLED
     const std::uint64_t snapshot_builds_before =
         obs::registry::instance().get_counter("lsn.snapshot.builds").value();
-#endif
     expects(!plan.scenarios.empty(), "campaign needs at least one scenario");
     expects(!plan.engines.empty(), "campaign needs at least one metric engine");
     for (const auto& engine : plan.engines) {
@@ -243,12 +241,10 @@ campaign_result run_campaign(const experiment_plan& plan,
                 const std::size_t i = unique_cells[u];
                 const std::size_t row = i / static_cast<std::size_t>(result.n_engines);
                 const std::size_t e = i % static_cast<std::size_t>(result.n_engines);
-#ifndef SSPLANE_OBS_DISABLED
                 // Per-cell span named by engine so the trace shows which
                 // metric the time went to.
                 const obs::span cell_span("campaign.cell." +
                                           result.engine_names[e]);
-#endif
                 result.cells[i] = plan.engines[e]->evaluate(context, *timelines[row]);
             }
         },
@@ -257,12 +253,10 @@ campaign_result run_campaign(const experiment_plan& plan,
         if (computed_as[i] != i) result.cells[i] = result.cells[computed_as[i]];
 
     result.cache = context.cache_stats() - cache_before;
-#ifndef SSPLANE_OBS_DISABLED
     result.snapshot_builds =
         obs::registry::instance().get_counter("lsn.snapshot.builds").value() -
         snapshot_builds_before;
     OBS_COUNT_N("exp.snapshot.rebuilds", result.snapshot_builds);
-#endif
 
     // Third-party engines must honour their own column contract — a
     // mismatched cell would silently misalign `value()`, `write_csv` and

@@ -78,7 +78,7 @@ struct campaign_result {
     cache_statistics cache;
     /// Snapshots built during `run_campaign`: the cells' builds plus those
     /// of the timeline prefetch (the greedy adversary's oracle sweeps).
-    /// Counted via the obs registry — 0 when built with -DSSPLANE_OBS=OFF.
+    /// Counted via the obs registry's `lsn.snapshot.builds` counter.
     std::uint64_t snapshot_builds = 0;
 
     /// Index of the engine with this name — the robust way to address

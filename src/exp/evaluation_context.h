@@ -39,8 +39,8 @@ namespace ssplane::exp {
 
 /// Cumulative cache telemetry of one `evaluation_context`: lookup outcomes
 /// of the failure-timeline cache. Counted with plain atomics on the context
-/// itself (available regardless of the SSPLANE_OBS build option) and
-/// mirrored into the obs metrics registry as `exp.timeline_cache.hit/miss`.
+/// itself, because the obs registry's `exp.timeline_cache.hit/miss` mirrors
+/// are process-wide and would mix the lookups of every live context.
 /// Racing first lookups each count one miss — every racer pays the
 /// (deterministic) generation, the cache keeps one copy.
 struct cache_statistics {

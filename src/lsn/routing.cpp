@@ -12,15 +12,6 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
-/// Node path from a pass's source to `node`, read off its predecessors.
-std::vector<int> trace_path(const std::vector<int>& prev, int node)
-{
-    std::vector<int> path;
-    for (int v = node; v != -1; v = prev[static_cast<std::size_t>(v)]) path.push_back(v);
-    std::reverse(path.begin(), path.end());
-    return path;
-}
-
 } // namespace
 
 route_graph make_route_graph(const network_snapshot& snapshot)
@@ -96,7 +87,11 @@ void shortest_path_search::run(const route_graph& graph, int src,
 std::vector<int> shortest_path_search::path_to(int node) const
 {
     if (!reachable(node)) return {};
-    return trace_path(prev_node_, node);
+    std::vector<int> path;
+    for (int v = node; v != -1; v = prev_node_[static_cast<std::size_t>(v)])
+        path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
 }
 
 route_result shortest_route(const network_snapshot& snapshot, int src_node, int dst_node)
@@ -116,33 +111,6 @@ route_result shortest_route(const network_snapshot& snapshot, int src_node, int 
     result.path = search.path_to(dst_node);
     result.hops = static_cast<int>(result.path.size()) - 1;
     return result;
-}
-
-std::vector<double> single_source_latencies(const network_snapshot& snapshot,
-                                            int src_node)
-{
-    shortest_path_search search;
-    search.run(make_route_graph(snapshot), src_node);
-    return search.distances();
-}
-
-std::vector<int> route_tree::path_to(int node) const
-{
-    if (!reachable(node)) return {};
-    return trace_path(prev, node);
-}
-
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node)
-{
-    shortest_path_search search;
-    search.run(make_route_graph(snapshot), src_node);
-    route_tree tree;
-    tree.source = src_node;
-    tree.latency_s = search.distances();
-    tree.prev.reserve(tree.latency_s.size());
-    for (int v = 0; v < static_cast<int>(tree.latency_s.size()); ++v)
-        tree.prev.push_back(search.prev_node(v));
-    return tree;
 }
 
 route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b)

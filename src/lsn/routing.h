@@ -90,33 +90,6 @@ private:
 /// Dijkstra shortest path by latency between two nodes of a snapshot.
 route_result shortest_route(const network_snapshot& snapshot, int src_node, int dst_node);
 
-/// Shortest one-way latency from `src_node` to every node in one Dijkstra
-/// pass (infinity = unreachable).
-std::vector<double> single_source_latencies(const network_snapshot& snapshot,
-                                            int src_node);
-
-/// Shortest-path tree of one full Dijkstra pass: distances plus
-/// predecessors, for callers that need the hops to many destinations.
-struct route_tree {
-    int source = 0;
-    std::vector<double> latency_s; ///< Infinity = unreachable.
-    std::vector<int> prev;         ///< Predecessor node; -1 at source/unreachable.
-
-    bool reachable(int node) const
-    {
-        expects(node >= 0 && static_cast<std::size_t>(node) < latency_s.size(),
-                "bad node index");
-        return latency_s[static_cast<std::size_t>(node)] !=
-               std::numeric_limits<double>::infinity();
-    }
-
-    /// Node indices from the source to `node`; empty when unreachable.
-    std::vector<int> path_to(int node) const;
-};
-
-/// Full Dijkstra pass from `src_node` keeping the predecessor tree.
-route_tree single_source_routes(const network_snapshot& snapshot, int src_node);
-
 /// Convenience: route between two ground stations by index.
 route_result ground_route(const network_snapshot& snapshot, int ground_a, int ground_b);
 

@@ -72,15 +72,7 @@ snapshot_builder::snapshot_builder(const lsn_topology& topology,
 network_snapshot snapshot_builder::snapshot(
     double offset_s, std::span<const std::uint8_t> failed) const
 {
-    std::vector<vec3> sat_positions(propagators_.size());
-    const double gmst = astro::gmst_rad(epoch_.plus_seconds(offset_s));
-    const std::span<const double> offset(&offset_s, 1);
-    astro::state_vector state;
-    for (std::size_t s = 0; s < propagators_.size(); ++s) {
-        propagators_[s].states_at_offsets(epoch_, offset, {&state, 1});
-        sat_positions[s] = astro::eci_to_ecef_at_gmst(state.position_m, gmst);
-    }
-    return snapshot_from_positions(sat_positions, failed);
+    return snapshot_from_positions(positions_at_offsets({&offset_s, 1})[0], failed);
 }
 
 std::vector<std::vector<vec3>> snapshot_builder::positions_at_offsets(
@@ -537,7 +529,8 @@ void validate(const scenario_sweep_options& options)
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
     expects(std::isfinite(duration_s), "sweep duration must be finite");
-    expects(step_s > 0.0, "sweep step must be positive");
+    expects(std::isfinite(step_s) && step_s > 0.0,
+            "sweep step must be finite and positive");
     expects(duration_s / step_s <= max_sweep_offsets,
             "sweep grid must have at most max_sweep_offsets offsets");
     // Offset i is i * step_s, not a running sum: accumulating the step

@@ -210,9 +210,9 @@ void validate(const scenario_sweep_options& options);
 /// The sweep time grid: offsets 0, step_s, 2*step_s, ... < duration_s —
 /// shared by every time-stepped sweep so their grids can never drift apart.
 /// A non-positive duration yields an empty grid (sweeps report zeroed
-/// stats); a non-finite duration, a non-positive step or a grid of more
-/// than `max_sweep_offsets` offsets is a contract violation, raised before
-/// anything is allocated.
+/// stats); a non-finite duration, a non-finite or non-positive step or a
+/// grid of more than `max_sweep_offsets` offsets is a contract violation,
+/// raised before anything is allocated.
 std::vector<double> sweep_offsets(double duration_s, double step_s);
 
 /// Scalar robustness metrics for one scenario over the sweep window.

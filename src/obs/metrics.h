@@ -11,9 +11,7 @@
 //
 // Hot-path usage goes through the OBS_COUNT / OBS_RECORD macros below: the
 // registry lookup happens once per call site (function-local static
-// reference), the increment is one relaxed atomic add. Configuring with
-// -DSSPLANE_OBS=OFF defines SSPLANE_OBS_DISABLED and compiles every macro
-// to nothing.
+// reference), the increment is one relaxed atomic add.
 #ifndef SSPLANE_OBS_METRICS_H
 #define SSPLANE_OBS_METRICS_H
 
@@ -131,16 +129,6 @@ void write_metrics_csv(std::ostream& out);
 
 } // namespace ssplane::obs
 
-#if defined(SSPLANE_OBS_DISABLED)
-
-#define OBS_COUNT(name) ((void)0)
-#define OBS_COUNT_N(name, n) ((void)(n))
-#define OBS_COUNT_SCHED(name) ((void)0)
-#define OBS_COUNT_SCHED_N(name, n) ((void)(n))
-#define OBS_RECORD_SCHED(name, value) ((void)(value))
-
-#else
-
 /// Count one deterministic work item. `name` must be a string literal (the
 /// registry reference is resolved once per call site).
 #define OBS_COUNT(name) OBS_COUNT_N(name, 1)
@@ -170,7 +158,5 @@ void write_metrics_csv(std::ostream& out);
                                                                   false);      \
         obs_distribution_site.record(static_cast<double>(value));              \
     } while (false)
-
-#endif // SSPLANE_OBS_DISABLED
 
 #endif // SSPLANE_OBS_METRICS_H

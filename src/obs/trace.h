@@ -11,9 +11,6 @@
 // concurrent flush. Timestamps come from the one sanctioned wall-clock
 // module, obs/clock.h — spans measure the run, they never feed results, so
 // the determinism contract is untouched.
-//
-// Configuring with -DSSPLANE_OBS=OFF compiles OBS_SPAN to nothing; the
-// flush/inspection API stays linkable and reports an empty trace.
 #ifndef SSPLANE_OBS_TRACE_H
 #define SSPLANE_OBS_TRACE_H
 
@@ -101,14 +98,10 @@ void write_phase_summary(std::ostream& out);
 
 } // namespace ssplane::obs
 
-#if defined(SSPLANE_OBS_DISABLED)
-#define OBS_SPAN(name) ((void)0)
-#else
 #define OBS_SPAN_CONCAT_INNER(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT_INNER(a, b)
 /// Trace the enclosing scope as one span named `name`.
 #define OBS_SPAN(name)                                                         \
     const ::ssplane::obs::span OBS_SPAN_CONCAT(obs_span_site_, __LINE__)(name)
-#endif
 
 #endif // SSPLANE_OBS_TRACE_H

@@ -74,10 +74,6 @@ struct belt_parameters {
     /// Inner-belt particles whose drift shell dips below the cutoff at any
     /// longitude are absorbed — this is what confines low-L flux to the SAA.
     double drift_loss_taper_m = 150.0e3;
-
-    /// Memberwise equality — cache keys (flux_cache) depend on comparing
-    /// every parameter, so keep this defaulted when adding fields.
-    bool operator==(const belt_parameters&) const = default;
 };
 
 /// The complete radiation environment: dipole geometry + belt profiles +

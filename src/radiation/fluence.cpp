@@ -93,8 +93,7 @@ flux_maps flux_map_at_altitude(const radiation_environment& env,
                                double cell_deg,
                                const astro::instant& t)
 {
-    const auto cache = shared_flux_map_cache(env, altitude_m, cell_deg);
-    return cache->flux_map(solar_activity(t));
+    return flux_map_cache(env, altitude_m, cell_deg).flux_map(solar_activity(t));
 }
 
 geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
@@ -105,14 +104,14 @@ geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
 {
     // Activity enters the electron flux as a multiplicative scale on the
     // outer belt, so the max over days at each cell is achieved on the
-    // max-activity day — the cached lattice serves the whole sweep with one
-    // geometry build plus per-day scales.
-    const auto cache = shared_flux_map_cache(env, altitude_m, cell_deg);
+    // max-activity day — one lattice build plus per-day scales serves the
+    // whole sweep.
+    const flux_map_cache cache(env, altitude_m, cell_deg);
     const auto days = sample_cycle24_days(n_days, seed);
     std::vector<double> activities;
     activities.reserve(days.size());
     for (const auto& day : days) activities.push_back(solar_activity(day));
-    return cache->max_electron_map(activities);
+    return cache.max_electron_map(activities);
 }
 
 } // namespace ssplane::radiation

@@ -1,8 +1,6 @@
 #include "radiation/flux_cache.h"
 
 #include <algorithm>
-#include <deque>
-#include <mutex>
 
 #include "astro/frames.h"
 #include "util/expects.h"
@@ -10,19 +8,9 @@
 
 namespace ssplane::radiation {
 
-namespace {
-
-bool same_environment(const radiation_environment& a,
-                      const radiation_environment& b) noexcept
-{
-    return a.dipole() == b.dipole() && a.parameters() == b.parameters();
-}
-
-} // namespace
-
 flux_map_cache::flux_map_cache(const radiation_environment& env, double altitude_m,
                                double cell_deg)
-    : env_(env), altitude_m_(altitude_m), cell_deg_(cell_deg)
+    : env_(env), cell_deg_(cell_deg)
 {
     const geo::lat_lon_grid geometry(cell_deg);
     n_lat_ = geometry.n_lat();
@@ -34,7 +22,7 @@ flux_map_cache::flux_map_cache(const radiation_environment& env, double altitude
             const double lat = geometry.latitude_center_deg(r);
             for (std::size_t c = 0; c < n_lon_; ++c) {
                 const astro::geodetic g{lat, geometry.longitude_center_deg(c),
-                                        altitude_m_};
+                                        altitude_m};
                 cells_[r * n_lon_ + c] = env_.components_at(astro::geodetic_to_ecef(g));
             }
         }
@@ -75,34 +63,6 @@ geo::lat_lon_grid flux_map_cache::max_electron_map(
             values[i] = cells_[i].electron_inner + cells_[i].electron_outer * max_scale;
     });
     return out;
-}
-
-std::shared_ptr<const flux_map_cache>
-shared_flux_map_cache(const radiation_environment& env, double altitude_m,
-                      double cell_deg)
-{
-    // Small FIFO of shared lattices; entries stay alive while callers hold
-    // the returned shared_ptr even after eviction.
-    constexpr std::size_t max_entries = 32;
-    static std::mutex mutex;
-    static std::deque<std::shared_ptr<const flux_map_cache>> entries;
-
-    {
-        const std::lock_guard lock(mutex);
-        for (const auto& entry : entries) {
-            if (entry->altitude_m() == altitude_m && entry->cell_deg() == cell_deg &&
-                same_environment(entry->environment(), env))
-                return entry;
-        }
-    }
-
-    // Build outside the lock (construction is the expensive part); a
-    // concurrent builder of the same key just wins the race benignly.
-    auto built = std::make_shared<const flux_map_cache>(env, altitude_m, cell_deg);
-    const std::lock_guard lock(mutex);
-    entries.push_back(built);
-    if (entries.size() > max_entries) entries.pop_front();
-    return built;
 }
 
 } // namespace ssplane::radiation

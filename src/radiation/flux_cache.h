@@ -12,7 +12,6 @@
 #ifndef SSPLANE_RADIATION_FLUX_CACHE_H
 #define SSPLANE_RADIATION_FLUX_CACHE_H
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,16 +28,12 @@ public:
     flux_map_cache(const radiation_environment& env, double altitude_m,
                    double cell_deg);
 
-    double altitude_m() const noexcept { return altitude_m_; }
-    double cell_deg() const noexcept { return cell_deg_; }
-    const radiation_environment& environment() const noexcept { return env_; }
-
-    /// Electron + proton flux maps at one activity level — the cached
-    /// equivalent of flux_map_at_altitude.
+    /// Electron + proton flux maps at one activity level — equal to
+    /// evaluating the belt model at every cell center.
     flux_maps flux_map(double activity) const;
 
-    /// Cell-wise maximum electron flux over a set of activity levels — the
-    /// cached equivalent of max_electron_flux_map's day loop. The outer-belt
+    /// Cell-wise maximum electron flux over a set of activity levels — equal
+    /// to a per-day loop of direct evaluations. The outer-belt
     /// component is non-negative, so the cell maximum is attained at the
     /// maximum outer-belt activity scale.
     geo::lat_lon_grid max_electron_map(std::span<const double> activities) const;
@@ -51,21 +46,11 @@ public:
 
 private:
     radiation_environment env_;
-    double altitude_m_;
     double cell_deg_;
     std::size_t n_lat_;
     std::size_t n_lon_;
     std::vector<flux_components> cells_;
 };
-
-/// Process-wide cache registry: returns the (possibly newly built) shared
-/// lattice for an environment/altitude/grid combination. Environments are
-/// matched by parameter value, so distinct but identical environments share
-/// one lattice. Thread-safe; holds a bounded number of lattices (oldest
-/// evicted first).
-std::shared_ptr<const flux_map_cache>
-shared_flux_map_cache(const radiation_environment& env, double altitude_m,
-                      double cell_deg);
 
 } // namespace ssplane::radiation
 

@@ -133,8 +133,7 @@ beam_assignment assign_beams(const session_grid& grid,
                     }
                 }
             }
-        },
-        static_cast<std::size_t>(options.chunk_cells));
+        });
 
     // Greedy packing: one serial walk over cells in grid order. Per beam
     // the pick is the visible satellite with the most residual user-link

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/expects.h"
+
 namespace ssplane {
 
 cli_args::cli_args(int argc, const char* const* argv)
@@ -36,18 +38,12 @@ double cli_args::get_double(const std::string& name, double fallback) const
 {
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty()) return fallback;
+    const std::string& text = it->second;
     char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    return end == it->second.c_str() ? fallback : v;
-}
-
-long cli_args::get_int(const std::string& name, long fallback) const
-{
-    const auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty()) return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    return end == it->second.c_str() ? fallback : v;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size())
+        throw contract_violation("--" + name + "=" + text + " is not a number");
+    return v;
 }
 
 } // namespace ssplane

@@ -22,11 +22,10 @@ public:
     /// Value of --name=value, or `fallback` when absent.
     std::string get(const std::string& name, const std::string& fallback) const;
 
-    /// Numeric value of --name=value, or `fallback` when absent/unparsable.
+    /// Numeric value of --name=value, or `fallback` when absent or empty.
+    /// A value that does not parse as a number in full (`30m`, `1O`) is a
+    /// `contract_violation` naming the flag.
     double get_double(const std::string& name, double fallback) const;
-
-    /// Integer value of --name=value, or `fallback` when absent/unparsable.
-    long get_int(const std::string& name, long fallback) const;
 
     /// Positional (non-flag) arguments in order.
     const std::vector<std::string>& positional() const noexcept { return positional_; }

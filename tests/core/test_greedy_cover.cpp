@@ -129,14 +129,6 @@ TEST(GreedyCover, MaxPlanesCapReportsUnsatisfied)
     EXPECT_EQ(result.planes.size(), 2u);
 }
 
-TEST(GreedyCover, SingleBranchOptionWorks)
-{
-    ss_design_options opts;
-    opts.try_both_branches = false;
-    const auto result = greedy_ss_cover(coarse_problem(2.0), opts);
-    EXPECT_TRUE(result.satisfied);
-}
-
 TEST(GreedyCover, FixedSatsPerPlaneScalesTotal)
 {
     ss_design_options opts;
@@ -227,7 +219,7 @@ ss_design_result dense_greedy_reference(const design_problem& problem,
             candidates.emplace_back(*ltan, std::move(mask));
         };
         add_candidate(ltans.ascending);
-        if (options.try_both_branches) add_candidate(ltans.descending);
+        add_candidate(ltans.descending);
         if (candidates.empty()) {
             for (std::size_t c = 0; c < cols; ++c) values[row * cols + c] = 0.0;
             continue;
@@ -316,17 +308,13 @@ TEST(GreedyCover, MatchesDenseReference)
     for (const auto& [name, problem] : problems) {
         for (const seed_rule rule :
              {seed_rule::max_demand, seed_rule::min_demand, seed_rule::random_cell}) {
-            for (const bool both : {true, false}) {
-                SCOPED_TRACE(testing::Message()
-                             << name << ", rule " << static_cast<int>(rule)
-                             << (both ? ", both branches" : ", ascending only"));
-                ss_design_options options;
-                options.rule = rule;
-                options.try_both_branches = both;
-                options.seed = 5;
-                expect_identical(greedy_ss_cover(problem, options),
-                                 dense_greedy_reference(problem, options));
-            }
+            SCOPED_TRACE(testing::Message()
+                         << name << ", rule " << static_cast<int>(rule));
+            ss_design_options options;
+            options.rule = rule;
+            options.seed = 5;
+            expect_identical(greedy_ss_cover(problem, options),
+                             dense_greedy_reference(problem, options));
         }
     }
 }

@@ -1,6 +1,7 @@
 #include "lsn/routing.h"
 
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,7 +89,9 @@ TEST(Routing, InvalidNodesRejected)
 TEST(Routing, SingleSourceLatenciesMatchPointQueries)
 {
     const auto snap = line_graph();
-    const auto dist = single_source_latencies(snap, 0);
+    shortest_path_search search;
+    search.run(make_route_graph(snap), 0);
+    const auto& dist = search.distances();
     ASSERT_EQ(dist.size(), 4u);
     EXPECT_EQ(dist[0], 0.0);
     for (int v = 1; v < 4; ++v)
@@ -105,26 +108,29 @@ TEST(Routing, SingleSourceOnDisconnectedSnapshot)
     snap.adjacency[0].push_back({1, 0.001});
     snap.adjacency[1].push_back({0, 0.001});
     // Nodes 2 and 3 form a separate (edgeless) component.
-    const auto dist = single_source_latencies(snap, 0);
-    EXPECT_DOUBLE_EQ(dist[1], 0.001);
-    EXPECT_EQ(dist[2], std::numeric_limits<double>::infinity());
-    EXPECT_EQ(dist[3], std::numeric_limits<double>::infinity());
-    EXPECT_THROW(single_source_latencies(snap, 9), contract_violation);
+    const route_graph graph = make_route_graph(snap);
+    shortest_path_search search;
+    search.run(graph, 0);
+    EXPECT_DOUBLE_EQ(search.distance(1), 0.001);
+    EXPECT_EQ(search.distance(2), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(search.distance(3), std::numeric_limits<double>::infinity());
+    EXPECT_THROW(search.run(graph, 9), contract_violation);
 }
 
 TEST(Routing, RouteTreeMatchesPointQueries)
 {
     const auto snap = line_graph();
-    const auto tree = single_source_routes(snap, 0);
-    ASSERT_EQ(tree.latency_s.size(), 4u);
-    EXPECT_EQ(tree.source, 0);
+    shortest_path_search search;
+    search.run(make_route_graph(snap), 0);
+    ASSERT_EQ(search.distances().size(), 4u);
+    EXPECT_EQ(search.prev_node(0), -1);
     for (int v = 0; v < 4; ++v) {
         const auto route = shortest_route(snap, 0, v);
-        ASSERT_TRUE(tree.reachable(v));
-        EXPECT_DOUBLE_EQ(tree.latency_s[static_cast<std::size_t>(v)], route.latency_s);
-        EXPECT_EQ(tree.path_to(v), route.path);
+        ASSERT_TRUE(search.reachable(v));
+        EXPECT_DOUBLE_EQ(search.distance(v), route.latency_s);
+        EXPECT_EQ(search.path_to(v), route.path);
     }
-    EXPECT_THROW(tree.path_to(9), contract_violation);
+    EXPECT_THROW(search.path_to(9), contract_violation);
 }
 
 TEST(Routing, RouteTreeOnDisconnectedSnapshot)
@@ -135,17 +141,20 @@ TEST(Routing, RouteTreeOnDisconnectedSnapshot)
     snap.adjacency.resize(3);
     snap.adjacency[0].push_back({1, 0.001});
     snap.adjacency[1].push_back({0, 0.001});
-    const auto tree = single_source_routes(snap, 0);
-    EXPECT_TRUE(tree.reachable(1));
-    EXPECT_FALSE(tree.reachable(2));
-    EXPECT_TRUE(tree.path_to(2).empty());
+    shortest_path_search search;
+    search.run(make_route_graph(snap), 0);
+    EXPECT_TRUE(search.reachable(1));
+    EXPECT_FALSE(search.reachable(2));
+    EXPECT_EQ(search.prev_node(2), -1);
+    EXPECT_TRUE(search.path_to(2).empty());
 }
 
 TEST(Routing, PathConsistencyOnSampledSnapshot)
 {
     // All station pairs of a real (sparse, partially disconnected) snapshot:
-    // the point query and the single-source pass must agree exactly,
-    // including on unreachable pairs.
+    // the point query and the full single-source pass must agree exactly,
+    // including on unreachable pairs, and a pass that stops once a target
+    // set is settled must agree with the full pass on every target.
     constellation::walker_parameters params;
     params.altitude_m = 550.0e3;
     params.inclination_rad = deg2rad(53.0);
@@ -159,21 +168,30 @@ TEST(Routing, PathConsistencyOnSampledSnapshot)
     const auto stations = default_ground_stations();
     const auto snap = snapshot_at(topo, stations, astro::instant::j2000(),
                                   astro::instant::j2000(), deg2rad(25.0));
+    const route_graph graph = make_route_graph(snap);
 
     const int n = static_cast<int>(stations.size());
     bool any_reachable = false;
     bool any_unreachable = false;
+    shortest_path_search full;
+    shortest_path_search targeted;
     for (int a = 0; a < n; ++a) {
-        const auto dist = single_source_latencies(snap, snap.ground_node(a));
-        const auto tree = single_source_routes(snap, snap.ground_node(a));
+        full.run(graph, snap.ground_node(a));
+        std::vector<int> later_grounds;
+        for (int b = a + 1; b < n; ++b) later_grounds.push_back(snap.ground_node(b));
+        targeted.run(graph, snap.ground_node(a), later_grounds);
+        for (const int t : later_grounds) {
+            EXPECT_EQ(targeted.distance(t), full.distance(t));
+            EXPECT_EQ(targeted.path_to(t), full.path_to(t));
+        }
         for (int b = 0; b < n; ++b) {
             if (b == a) continue;
             const auto route = ground_route(snap, a, b);
-            const double d = dist[static_cast<std::size_t>(snap.ground_node(b))];
-            EXPECT_EQ(tree.latency_s[static_cast<std::size_t>(snap.ground_node(b))], d);
+            const double d = full.distance(snap.ground_node(b));
             if (route.reachable) {
                 any_reachable = true;
                 EXPECT_DOUBLE_EQ(route.latency_s, d);
+                EXPECT_EQ(full.path_to(snap.ground_node(b)), route.path);
             } else {
                 any_unreachable = true;
                 EXPECT_EQ(d, std::numeric_limits<double>::infinity());

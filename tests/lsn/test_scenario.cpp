@@ -251,11 +251,11 @@ TEST(Scenario, ShortestRouteOnDisconnectedSnapshot)
     EXPECT_FALSE(route.reachable);
     EXPECT_TRUE(route.path.empty());
 
-    const auto dist = single_source_latencies(snap, snap.ground_node(0));
+    shortest_path_search search;
+    search.run(make_route_graph(snap), snap.ground_node(0));
     constexpr double inf = std::numeric_limits<double>::infinity();
-    EXPECT_EQ(dist[static_cast<std::size_t>(snap.ground_node(0))], 0.0);
-    for (int s = 0; s < snap.n_satellites; ++s)
-        EXPECT_EQ(dist[static_cast<std::size_t>(s)], inf);
+    EXPECT_EQ(search.distance(snap.ground_node(0)), 0.0);
+    for (int s = 0; s < snap.n_satellites; ++s) EXPECT_EQ(search.distance(s), inf);
     EXPECT_EQ(giant_component_fraction(snap, all_failed), 0.0);
 }
 
@@ -266,10 +266,11 @@ TEST(Scenario, SingleSourceMatchesPointToPoint)
     const snapshot_builder builder(topo, stations, astro::instant::j2000(),
                                    deg2rad(25.0));
     const auto snap = builder.snapshot(900.0);
-    const auto dist = single_source_latencies(snap, snap.ground_node(0));
+    shortest_path_search search;
+    search.run(make_route_graph(snap), snap.ground_node(0));
     for (int b = 1; b < snap.n_ground; ++b) {
         const auto route = ground_route(snap, 0, b);
-        const double d = dist[static_cast<std::size_t>(snap.ground_node(b))];
+        const double d = search.distance(snap.ground_node(b));
         if (route.reachable)
             EXPECT_DOUBLE_EQ(d, route.latency_s);
         else
@@ -351,9 +352,10 @@ TEST(Scenario, ValidateRejectsUnsweepableGrids)
     edge.min_elevation_rad = 0.5 * pi;
     validate(edge);
 
-    // The grid helper itself refuses an unbounded horizon.
+    // The grid helper itself refuses an unbounded horizon or step.
     EXPECT_THROW(sweep_offsets(inf, 300.0), contract_violation);
     EXPECT_THROW(sweep_offsets(nan, 300.0), contract_violation);
+    EXPECT_THROW(sweep_offsets(86400.0, inf), contract_violation);
 }
 
 TEST(Scenario, TinyStepsAreRejectedBeforeTheGridIsBuilt)

@@ -142,7 +142,6 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing)
               static_cast<std::uint64_t>(n_threads) * ((n_increments + 63) / 64));
 }
 
-#ifndef SSPLANE_OBS_DISABLED
 TEST(Metrics, CountMacrosResolveOnceAndAccumulate)
 {
     registry::instance().reset();
@@ -156,7 +155,6 @@ TEST(Metrics, CountMacrosResolveOnceAndAccumulate)
     EXPECT_EQ(registry::instance().get_distribution("test.macro.depth").max(),
               11.0);
 }
-#endif
 
 } // namespace
 } // namespace ssplane::obs

@@ -82,8 +82,6 @@ struct obs_sandbox {
     }
 };
 
-#ifndef SSPLANE_OBS_DISABLED
-
 TEST(ObsCampaign, DeterministicCountersAreBitIdenticalAcrossThreadCounts)
 {
     const obs_sandbox sandbox;
@@ -257,8 +255,6 @@ TEST(ObsCampaign, SpectralCountersAndSpansCoverThePercolationEngine)
     EXPECT_TRUE(has_span("spectral.percolate"));
 }
 
-#endif // SSPLANE_OBS_DISABLED
-
 TEST(ObsCampaign, CampaignReportsCacheStatisticsAndCsvCarriesThem)
 {
     const obs_sandbox sandbox;
@@ -274,9 +270,7 @@ TEST(ObsCampaign, CampaignReportsCacheStatisticsAndCsvCarriesThem)
     EXPECT_EQ(first.cache.timeline_misses, 3u);
     EXPECT_EQ(first.cache.timeline_hits, 0u);
     EXPECT_EQ(first.cache.timeline_hit_rate(), 0.0);
-#ifndef SSPLANE_OBS_DISABLED
     EXPECT_GT(first.snapshot_builds, 0u);
-#endif
 
     // Re-running on the same context is all hits — and the result reports
     // THIS run's delta, not the context's cumulative totals.

@@ -180,7 +180,6 @@ TEST(Trace, ThreadsGetDistinctTidsAndResetClearsAllBuffers)
     EXPECT_TRUE(trace_snapshot().empty());
 }
 
-#ifndef SSPLANE_OBS_DISABLED
 TEST(Trace, SpanMacroTracesTheEnclosingScope)
 {
     const trace_sandbox sandbox;
@@ -192,7 +191,6 @@ TEST(Trace, SpanMacroTracesTheEnclosingScope)
     ASSERT_EQ(spans.size(), 1u);
     EXPECT_EQ(spans[0].name, "trace.test.macro");
 }
-#endif
 
 } // namespace
 } // namespace ssplane::obs

@@ -124,23 +124,5 @@ TEST(FluxMapCache, ParallelBuildMatchesSerialBuild)
     }
 }
 
-TEST(SharedFluxMapCache, ReusesLatticeForEqualInputs)
-{
-    const auto first = shared_flux_map_cache(shared_env(), 560.0e3, 15.0);
-    // A distinct but value-identical environment hits the same entry.
-    const radiation_environment equal_env;
-    const auto second = shared_flux_map_cache(equal_env, 560.0e3, 15.0);
-    EXPECT_EQ(first.get(), second.get());
-
-    const auto other_altitude = shared_flux_map_cache(shared_env(), 600.0e3, 15.0);
-    EXPECT_NE(first.get(), other_altitude.get());
-
-    belt_parameters tweaked;
-    tweaked.electron_outer_amplitude *= 2.0;
-    const radiation_environment different(shared_env().dipole(), tweaked);
-    const auto other_env = shared_flux_map_cache(different, 560.0e3, 15.0);
-    EXPECT_NE(first.get(), other_env.get());
-}
-
 } // namespace
 } // namespace ssplane::radiation

@@ -1,7 +1,7 @@
 // Serving sweeps along failure timelines: a mid-sweep total strike must
 // show up as a served-fraction dip with the right drop accounting, the SLO
 // scalars must be pure functions of the step traces, and the whole sweep
-// must be bit-identical under thread-count and chunk-size perturbations.
+// must be bit-identical under thread-count perturbations.
 #include "serve/serving_sweep.h"
 
 #include <cmath>
@@ -170,7 +170,7 @@ TEST(ServingSweep, TimeToRestoreSemantics)
     EXPECT_THROW(time_to_restore(misaligned, offsets, 0.9), contract_violation);
 }
 
-TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
+TEST(ServingSweep, BitIdenticalAcrossThreadCounts)
 {
     const sweep_fixture fx;
     serving_options options;
@@ -184,33 +184,28 @@ TEST(ServingSweep, BitIdenticalAcrossThreadsAndChunkSizes)
         fx.builder, fx.offsets, fx.positions, timeline, fx.grid, options);
     for (const unsigned threads : {1u, 2u, 4u}) {
         set_thread_count(threads);
-        for (const int chunk : {0, 5}) {
-            serving_options perturbed = options;
-            perturbed.chunk_cells = chunk;
-            const auto result = run_serving_sweep_timeline(
-                fx.builder, fx.offsets, fx.positions, timeline, fx.grid,
-                perturbed);
-            EXPECT_EQ(result.step_served_fraction,
-                      reference.step_served_fraction);
-            EXPECT_EQ(result.step_sessions_active,
-                      reference.step_sessions_active);
-            EXPECT_EQ(result.step_sessions_dropped,
-                      reference.step_sessions_dropped);
-            EXPECT_EQ(result.step_sessions_degraded,
-                      reference.step_sessions_degraded);
-            EXPECT_EQ(result.step_p99_session_rate_mbps,
-                      reference.step_p99_session_rate_mbps);
-            EXPECT_EQ(result.step_delivered_gbps,
-                      reference.step_delivered_gbps);
-            EXPECT_EQ(result.metrics.p50_session_rate_mbps,
-                      reference.metrics.p50_session_rate_mbps);
-            EXPECT_EQ(result.metrics.p99_session_rate_mbps,
-                      reference.metrics.p99_session_rate_mbps);
-            EXPECT_EQ(result.metrics.served_fraction_mean,
-                      reference.metrics.served_fraction_mean);
-            EXPECT_EQ(result.metrics.time_to_restore_s,
-                      reference.metrics.time_to_restore_s);
-        }
+        const auto result = run_serving_sweep_timeline(
+            fx.builder, fx.offsets, fx.positions, timeline, fx.grid, options);
+        EXPECT_EQ(result.step_served_fraction,
+                  reference.step_served_fraction);
+        EXPECT_EQ(result.step_sessions_active,
+                  reference.step_sessions_active);
+        EXPECT_EQ(result.step_sessions_dropped,
+                  reference.step_sessions_dropped);
+        EXPECT_EQ(result.step_sessions_degraded,
+                  reference.step_sessions_degraded);
+        EXPECT_EQ(result.step_p99_session_rate_mbps,
+                  reference.step_p99_session_rate_mbps);
+        EXPECT_EQ(result.step_delivered_gbps,
+                  reference.step_delivered_gbps);
+        EXPECT_EQ(result.metrics.p50_session_rate_mbps,
+                  reference.metrics.p50_session_rate_mbps);
+        EXPECT_EQ(result.metrics.p99_session_rate_mbps,
+                  reference.metrics.p99_session_rate_mbps);
+        EXPECT_EQ(result.metrics.served_fraction_mean,
+                  reference.metrics.served_fraction_mean);
+        EXPECT_EQ(result.metrics.time_to_restore_s,
+                  reference.metrics.time_to_restore_s);
     }
     set_thread_count(0);
 }

@@ -281,16 +281,12 @@ TEST(PercolationSweep, EqualGraphsAreSolvedOnce)
     const percolation_options options;
     for (const unsigned threads : {1u, 4u}) {
         set_thread_count(threads);
-#ifndef SSPLANE_OBS_DISABLED
         const obs::counter& solves =
             obs::registry::instance().get_counter("spectral.lanczos.solves");
         const std::uint64_t before = solves.value();
-#endif
         const percolation_sweep_result sweep =
             run_percolation_sweep_timeline(builder, offsets, positions, timeline, options);
-#ifndef SSPLANE_OBS_DISABLED
         EXPECT_EQ(solves.value() - before, 2u) << threads << " threads";
-#endif
         ASSERT_EQ(sweep.step_lambda2.size(), 4u);
         for (std::size_t i = 0; i < 4; ++i) {
             const auto failed = timeline.step(static_cast<int>(i));

@@ -496,26 +496,20 @@ TEST(FlowAssignment, MatchesTheAllGroundWeightGraphReference)
         cases.push_back({k == 1 ? "tight_k1" : "tight_k6", rounds});
     }
 
-#ifndef SSPLANE_OBS_DISABLED
     const obs::counter& dijkstra_runs =
         obs::registry::instance().get_counter("lsn.dijkstra.runs");
-#endif
     for (const auto& [name, options] : cases) {
         for (const bool per_pair : {false, true}) {
             int reference_runs = 0;
             const flow_result expected =
                 reference::assign(snap, matrix, options, per_pair, reference_runs);
-#ifndef SSPLANE_OBS_DISABLED
             const std::uint64_t before = dijkstra_runs.value();
-#endif
             const flow_result actual =
                 per_pair ? assign_flows_per_pair_baseline(snap, matrix, options)
                          : assign_flows(snap, matrix, options);
-#ifndef SSPLANE_OBS_DISABLED
             EXPECT_EQ(dijkstra_runs.value() - before,
                       static_cast<std::uint64_t>(reference_runs))
                 << name << " per_pair=" << per_pair;
-#endif
             EXPECT_TRUE(actual == expected) << name << " per_pair=" << per_pair;
             EXPECT_EQ(actual.links, expected.links) << name;
             EXPECT_EQ(actual.pair_delivered_gbps, expected.pair_delivered_gbps) << name;

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -75,17 +76,28 @@ TEST(Cli, ParsesOptionsAndPositional)
     EXPECT_FALSE(args.has("missing"));
     EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 1.5);
     EXPECT_EQ(args.get("name", ""), "x");
-    EXPECT_EQ(args.get_int("missing", 7), 7);
+    EXPECT_EQ(args.get_double("missing", 7.0), 7.0);
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "input.txt");
 }
 
-TEST(Cli, FallbacksOnUnparsable)
+TEST(Cli, RejectsMalformedNumbers)
 {
-    const char* argv[] = {"prog", "--n=abc"};
-    cli_args args(2, argv);
-    EXPECT_EQ(args.get_int("n", -1), -1);
-    EXPECT_EQ(args.get_double("n", 2.5), 2.5);
+    const char* argv[] = {"prog", "--a=abc", "--sweep-step=30m", "--bandwidth=1O",
+                          "--empty=", "--ok=-2.5e3"};
+    cli_args args(6, argv);
+    for (const char* name : {"a", "sweep-step", "bandwidth"})
+        EXPECT_THROW(args.get_double(name, 1.0), contract_violation) << name;
+    try {
+        args.get_double("sweep-step", 1.0);
+        FAIL() << "a trailing unit should not parse";
+    } catch (const contract_violation& e) {
+        EXPECT_NE(std::string(e.what()).find("--sweep-step=30m"), std::string::npos);
+    }
+    // An absent or empty flag still falls back; a whole number parses.
+    EXPECT_EQ(args.get_double("missing", 2.5), 2.5);
+    EXPECT_EQ(args.get_double("empty", 2.5), 2.5);
+    EXPECT_EQ(args.get_double("ok", 0.0), -2500.0);
 }
 
 TEST(Expects, ThrowsWithMessage)

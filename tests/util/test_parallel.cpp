@@ -102,8 +102,6 @@ TEST_F(ParallelTest, ThreadCountOverrideAndRestore)
     EXPECT_GE(thread_count(), 1u);
 }
 
-#ifndef SSPLANE_OBS_DISABLED
-
 TEST_F(ParallelTest, PoolJoinIsItsOwnSpanNotTheCallersSelfTime)
 {
     // A fan-out parent blocked on the pool: the join shows up as a
@@ -145,8 +143,6 @@ TEST_F(ParallelTest, PoolJoinIsItsOwnSpanNotTheCallersSelfTime)
     EXPECT_GE(stat->wall_ns, 15'000'000u);
     EXPECT_LT(stat->self_ns * 4, stat->wall_ns);
 }
-
-#endif
 
 } // namespace
 } // namespace ssplane

@@ -3,17 +3,12 @@
 # Runs the example at SSPLANE_THREADS=1 and SSPLANE_THREADS=4 and fails
 # unless both runs print byte-identical campaign and per-step campaign CSV
 # blocks and write byte-identical deterministic (deterministic=1) rows to
-# the metrics CSV. A build with obs compiled out (-DSSPLANE_OBS=OFF) writes
-# no counters, so OBS=OFF skips only the metrics comparison. Usage:
+# the metrics CSV. Usage:
 #
 #   cmake -DEXE=<path to example_network_day> -DWORK_DIR=<scratch dir>
-#         [-DOBS=<the build's SSPLANE_OBS value, default ON>]
 #         -P tools/network_day_determinism.cmake
 if(NOT EXE OR NOT WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DEXE=<example_network_day> -DWORK_DIR=<dir> [-DOBS=ON|OFF] -P ${CMAKE_SCRIPT_MODE_FILE}")
-endif()
-if(NOT DEFINED OBS)
-  set(OBS ON)
+  message(FATAL_ERROR "usage: cmake -DEXE=<example_network_day> -DWORK_DIR=<dir> -P ${CMAKE_SCRIPT_MODE_FILE}")
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
@@ -44,13 +39,9 @@ foreach(threads 1 4)
             campaign_${threads})
   csv_block("${stdout}" "per-step campaign CSV (scenario x step -> trace columns):"
             steps_${threads})
-  # With obs off, both runs leave deterministic_<threads> empty and the
-  # comparison below passes trivially.
-  if(OBS)
-    file(STRINGS "${metrics}" deterministic_${threads} REGEX ",1$")
-    if(NOT deterministic_${threads})
-      message(FATAL_ERROR "metrics CSV at SSPLANE_THREADS=${threads} has no deterministic rows")
-    endif()
+  file(STRINGS "${metrics}" deterministic_${threads} REGEX ",1$")
+  if(NOT deterministic_${threads})
+    message(FATAL_ERROR "metrics CSV at SSPLANE_THREADS=${threads} has no deterministic rows")
   endif()
 endforeach()
 
@@ -62,10 +53,5 @@ foreach(part campaign steps deterministic)
                         "see ${WORK_DIR}/network_day_${part}_threads{1,4}.txt")
   endif()
 endforeach()
-if(OBS)
-  message(STATUS "network_day campaign CSV, per-step CSV and deterministic metrics "
-                 "are identical at SSPLANE_THREADS=1 and 4")
-else()
-  message(STATUS "network_day campaign CSV and per-step CSV are identical at "
-                 "SSPLANE_THREADS=1 and 4 (obs compiled out: no metrics to compare)")
-endif()
+message(STATUS "network_day campaign CSV, per-step CSV and deterministic metrics "
+               "are identical at SSPLANE_THREADS=1 and 4")
