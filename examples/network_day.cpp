@@ -19,8 +19,11 @@
 // --trace=FILE records phase spans across the whole run and writes a Chrome
 // trace-event JSON (load it at ui.perfetto.dev) plus a per-phase wall/self
 // summary on stdout. --metrics dumps the counter registry as CSV, to FILE
-// when given a value, else to stdout.
+// when given a value, else to stdout. A malformed numeric flag
+// (`--sweep-step=30m`) or an unsweepable grid stops the run before any work,
+// with the reason on stderr and exit status 2.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -41,14 +44,60 @@
 #include "util/angles.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/expects.h"
 #include "util/table.h"
 
 using namespace ssplane;
 
+namespace {
+
+/// Every numeric flag, read before the design starts.
+struct day_flags {
+    double bandwidth;
+    std::uint64_t seed;
+    lsn::scenario_sweep_options sweep;
+    double cascade_hazard;
+    double cascade_escalation;
+    double storm_boost;
+    double offered_gbps;
+    double buffer_gb;
+    double bulk_gb;
+    double bulk_deadline_h;
+    std::int64_t sessions;
+};
+
+day_flags read_flags(const cli_args& args)
+{
+    day_flags f{};
+    f.bandwidth = args.get_double("bandwidth", 10.0);
+    f.seed = static_cast<std::uint64_t>(args.get_double("seed", 1.0));
+    f.sweep.duration_s = 86400.0;
+    f.sweep.step_s = args.get_double("sweep-step", 1800.0);
+    lsn::validate(f.sweep);
+    f.cascade_hazard = args.get_double("cascade-hazard", 0.3);
+    f.cascade_escalation = args.get_double("cascade-escalation", 0.05);
+    f.storm_boost = args.get_double("storm-boost", 4000.0);
+    f.offered_gbps = args.get_double("offered-gbps", 2000.0);
+    f.buffer_gb = args.get_double("buffer-gb", 25000.0);
+    f.bulk_gb = args.get_double("bulk-gb", 500000.0);
+    f.bulk_deadline_h = args.get_double("bulk-deadline-h", 6.0);
+    f.sessions = static_cast<std::int64_t>(args.get_double("sessions", 1000000.0));
+    return f;
+}
+
+} // namespace
+
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    const double bandwidth = args.get_double("bandwidth", 10.0);
+    day_flags flags;
+    try {
+        flags = read_flags(args);
+    } catch (const contract_violation& e) {
+        std::cerr << "network_day: " << e.what() << "\n";
+        return 2;
+    }
+    const double bandwidth = flags.bandwidth;
     const std::string trace_path = args.get("trace", "");
     if (!trace_path.empty()) {
         obs::trace_reset();
@@ -107,10 +156,8 @@ int main(int argc, char** argv)
     // --- Failure-scenario sweep: how does the same day look as satellites
     // fail? Giant-component fraction tracks topological fragmentation; the
     // all-pairs reachability and p95 inflation track user-visible service.
-    const auto seed = static_cast<std::uint64_t>(args.get_double("seed", 1.0));
-    lsn::scenario_sweep_options sweep;
-    sweep.duration_s = 86400.0;
-    sweep.step_s = args.get_double("sweep-step", 1800.0);
+    const auto seed = flags.seed;
+    const lsn::scenario_sweep_options sweep = flags.sweep;
 
     // Per-plane daily electron fluence drives the radiation scenario: each
     // designed plane flies at its own altitude, so doses differ per plane.
@@ -160,8 +207,8 @@ int main(int argc, char** argv)
     lsn::failure_scenario cascade;
     cascade.mode = lsn::failure_mode::kessler_cascade;
     cascade.cascade_initial_hits = 2;
-    cascade.cascade_base_daily_hazard = args.get_double("cascade-hazard", 0.3);
-    cascade.cascade_escalation = args.get_double("cascade-escalation", 0.05);
+    cascade.cascade_base_daily_hazard = flags.cascade_hazard;
+    cascade.cascade_escalation = flags.cascade_escalation;
     cascade.cascade_cooldown_s = 6.0 * 3600.0;
     cascade.seed = seed;
     plan.scenarios.push_back({"kessler cascade", cascade});
@@ -176,8 +223,7 @@ int main(int argc, char** argv)
         // the template injects a cycle-max-equivalent fluence spike.
         const double activity = std::max(
             radiation::solar_activity(epoch.plus_seconds(9.0 * 3600.0)), 1.0e-9);
-        s.storm_fluence_multiplier =
-            1.0 + args.get_double("storm-boost", 4000.0) / activity;
+        s.storm_fluence_multiplier = 1.0 + flags.storm_boost / activity;
         s.seed = seed;
         plan.scenarios.push_back({"solar storm", s});
     }
@@ -195,14 +241,13 @@ int main(int argc, char** argv)
     // delivery (time-expanded store-and-forward vs the per-epoch replication
     // floor) all judge the same scenarios on one shared context.
     traffic::traffic_sweep_options traffic_opts;
-    traffic_opts.matrix.total_demand_gbps =
-        args.get_double("offered-gbps", 2000.0);
+    traffic_opts.matrix.total_demand_gbps = flags.offered_gbps;
 
     tempo::bulk_route_options bulk_opts;
-    bulk_opts.sat_buffer_gb = args.get_double("buffer-gb", 25000.0);
-    const double bulk_gb = args.get_double("bulk-gb", 500000.0);
+    bulk_opts.sat_buffer_gb = flags.buffer_gb;
+    const double bulk_gb = flags.bulk_gb;
     const double bulk_deadline_s =
-        std::min(args.get_double("bulk-deadline-h", 6.0) * 3600.0, sweep.duration_s);
+        std::min(flags.bulk_deadline_h * 3600.0, sweep.duration_s);
     const int n_gw = static_cast<int>(stations.size());
     std::vector<tempo::bulk_transfer_request> bulk_requests;
     for (int g = 0; g < n_gw; ++g)
@@ -218,8 +263,7 @@ int main(int argc, char** argv)
     // grid (cell aggregates, so memory stays O(populated cells) even at
     // millions of sessions), judged per step against beam/satellite limits.
     serve::serving_options serving_opts;
-    serving_opts.n_sessions =
-        static_cast<std::int64_t>(args.get_double("sessions", 1000000.0));
+    serving_opts.n_sessions = flags.sessions;
     serving_opts.seed = seed;
     const auto serving =
         std::make_shared<exp::serving_engine>(population, serving_opts);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "lsn/routing.h"
+#include "obs/metrics.h"
 #include "support/sweep_grid.h"
 #include "util/angles.h"
 #include "util/expects.h"
@@ -84,6 +85,27 @@ TEST(Scenario, BatchedPositionsMatchPerStepSnapshots)
             EXPECT_EQ(batched[i][s].z, snap.positions_ecef_m[s].z);
         }
     }
+}
+
+TEST(Scenario, SnapshotIsOnePropagationPass)
+{
+    // snapshot(offset) is the one-offset case of the batched pass: each call
+    // counts one lsn.propagation_passes, as one multi-offset batch does.
+    const auto topo = build_walker_grid_topology(small_grid(3, 5));
+    const snapshot_builder builder(topo, {}, astro::instant::j2000(), deg2rad(30.0));
+    const obs::counter& passes =
+        obs::registry::instance().get_counter("lsn.propagation_passes");
+
+    for (const double off : {0.0, 600.0, 7200.0}) {
+        const auto before = passes.value();
+        const auto snap = builder.snapshot(off);
+        EXPECT_EQ(passes.value() - before, 1u) << off;
+        EXPECT_EQ(snap.n_satellites, 15);
+    }
+    const std::vector<double> offsets{0.0, 600.0, 7200.0};
+    const auto before = passes.value();
+    EXPECT_EQ(builder.positions_at_offsets(offsets).size(), offsets.size());
+    EXPECT_EQ(passes.value() - before, 1u);
 }
 
 TEST(Scenario, FailedSatellitesGetNoEdges)
