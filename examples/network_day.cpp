@@ -13,16 +13,19 @@
 // Usage: network_day [--bandwidth=10] [--sweep-step=1800] [--seed=1]
 //                    [--offered-gbps=2000] [--bulk-gb=500000]
 //                    [--buffer-gb=25000] [--bulk-deadline-h=6]
-//                    [--sessions=1000000]
+//                    [--sessions=1000000] [--cascade-hazard=0.3]
+//                    [--cascade-escalation=0.05] [--storm-boost=4000]
 //                    [--trace=out.json] [--metrics[=out.csv]]
 //
 // --trace=FILE records phase spans across the whole run and writes a Chrome
 // trace-event JSON (load it at ui.perfetto.dev) plus a per-phase wall/self
 // summary on stdout. --metrics dumps the counter registry as CSV, to FILE
 // when given a value, else to stdout. A malformed numeric flag
-// (`--sweep-step=30m`) or an unsweepable grid stops the run before any work,
+// (`--sweep-step=30m`), a value the run cannot use (`--sessions=0`,
+// `--buffer-gb=-1`) or an unsweepable grid stops the run before any work,
 // with the reason on stderr and exit status 2.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -39,7 +42,9 @@
 #include "obs/trace.h"
 #include "radiation/fluence.h"
 #include "radiation/solar_cycle.h"
+#include "serve/session_grid.h"
 #include "spectral/percolation.h"
+#include "tempo/time_expanded_graph.h"
 #include "traffic/traffic_sweep.h"
 #include "util/angles.h"
 #include "util/cli.h"
@@ -51,37 +56,78 @@ using namespace ssplane;
 
 namespace {
 
-/// Every numeric flag, read before the design starts.
+/// `--name` as a whole number in [0, 2^53], or `fallback` when absent.
+double whole_number(const cli_args& args, const std::string& name, double fallback)
+{
+    const double v = args.get_double(name, fallback);
+    if (!(v >= 0.0 && v <= 9007199254740992.0 && std::floor(v) == v))
+        throw contract_violation("--" + name + " must be a whole number in [0, 2^53]");
+    return v;
+}
+
+/// Every option the run takes from a flag, built and checked before the
+/// design starts.
 struct day_flags {
     double bandwidth;
     std::uint64_t seed;
     lsn::scenario_sweep_options sweep;
-    double cascade_hazard;
-    double cascade_escalation;
-    double storm_boost;
-    double offered_gbps;
-    double buffer_gb;
+    lsn::failure_scenario cascade;
+    lsn::failure_scenario storm; ///< Plane fluences are filled in after the design.
+    traffic::traffic_sweep_options traffic;
+    tempo::bulk_route_options bulk;
     double bulk_gb;
-    double bulk_deadline_h;
-    std::int64_t sessions;
+    double bulk_deadline_s;
+    serve::serving_options serving;
 };
 
-day_flags read_flags(const cli_args& args)
+day_flags read_flags(const cli_args& args, const astro::instant& epoch)
 {
     day_flags f{};
     f.bandwidth = args.get_double("bandwidth", 10.0);
-    f.seed = static_cast<std::uint64_t>(args.get_double("seed", 1.0));
+    expects(std::isfinite(f.bandwidth) && f.bandwidth > 0.0,
+            "--bandwidth must be finite and positive");
+    f.seed = static_cast<std::uint64_t>(whole_number(args, "seed", 1.0));
     f.sweep.duration_s = 86400.0;
     f.sweep.step_s = args.get_double("sweep-step", 1800.0);
     lsn::validate(f.sweep);
-    f.cascade_hazard = args.get_double("cascade-hazard", 0.3);
-    f.cascade_escalation = args.get_double("cascade-escalation", 0.05);
-    f.storm_boost = args.get_double("storm-boost", 4000.0);
-    f.offered_gbps = args.get_double("offered-gbps", 2000.0);
-    f.buffer_gb = args.get_double("buffer-gb", 25000.0);
+
+    f.cascade.mode = lsn::failure_mode::kessler_cascade;
+    f.cascade.cascade_initial_hits = 2;
+    f.cascade.cascade_base_daily_hazard = args.get_double("cascade-hazard", 0.3);
+    f.cascade.cascade_escalation = args.get_double("cascade-escalation", 0.05);
+    f.cascade.cascade_cooldown_s = 6.0 * 3600.0;
+    f.cascade.seed = f.seed;
+    lsn::validate(f.cascade);
+
+    f.storm.mode = lsn::failure_mode::solar_storm;
+    f.storm.storm_start_s = 6.0 * 3600.0;
+    f.storm.storm_duration_s = 6.0 * 3600.0;
+    // The 2026 epoch sits past the modeled cycle-24 envelope, where the
+    // deterministic activity level is nearly zero — normalize it out so
+    // the template injects a cycle-max-equivalent fluence spike.
+    const double activity = std::max(
+        radiation::solar_activity(epoch.plus_seconds(9.0 * 3600.0)), 1.0e-9);
+    f.storm.storm_fluence_multiplier =
+        1.0 + args.get_double("storm-boost", 4000.0) / activity;
+    f.storm.seed = f.seed;
+    lsn::validate(f.storm);
+
+    f.traffic.matrix.total_demand_gbps = args.get_double("offered-gbps", 2000.0);
+    traffic::validate(f.traffic.matrix);
+
+    f.bulk.sat_buffer_gb = args.get_double("buffer-gb", 25000.0);
+    tempo::validate(f.bulk);
     f.bulk_gb = args.get_double("bulk-gb", 500000.0);
-    f.bulk_deadline_h = args.get_double("bulk-deadline-h", 6.0);
-    f.sessions = static_cast<std::int64_t>(args.get_double("sessions", 1000000.0));
+    expects(std::isfinite(f.bulk_gb) && f.bulk_gb > 0.0,
+            "--bulk-gb must be finite and positive");
+    f.bulk_deadline_s =
+        std::min(args.get_double("bulk-deadline-h", 6.0) * 3600.0, f.sweep.duration_s);
+    expects(f.bulk_deadline_s > 0.0, "--bulk-deadline-h must be positive");
+
+    f.serving.n_sessions =
+        static_cast<std::int64_t>(whole_number(args, "sessions", 1000000.0));
+    f.serving.seed = f.seed;
+    serve::validate(f.serving);
     return f;
 }
 
@@ -90,9 +136,10 @@ day_flags read_flags(const cli_args& args)
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    const auto epoch = astro::instant::from_calendar(2026, 6, 1, 0);
     day_flags flags;
     try {
-        flags = read_flags(args);
+        flags = read_flags(args, epoch);
     } catch (const contract_violation& e) {
         std::cerr << "network_day: " << e.what() << "\n";
         return 2;
@@ -118,7 +165,6 @@ int main(int argc, char** argv)
     planes.reserve(design.planes.size());
     for (const auto& p : design.planes)
         planes.push_back({p.altitude_m, p.ltan_h, p.n_sats, 0.0});
-    const auto epoch = astro::instant::from_calendar(2026, 6, 1, 0);
     const auto topology = lsn::build_ss_topology(planes, epoch);
     std::cout << "topology: " << topology.satellites.size() << " nodes, "
               << topology.links.size() << " inter-satellite links\n\n";
@@ -204,27 +250,11 @@ int main(int argc, char** argv)
     // instead of before it. Kessler debris compounds plane by plane, the
     // solar storm is a mid-day fluence spike, and the greedy adversary
     // strikes whichever planes carry the most delivered traffic.
-    lsn::failure_scenario cascade;
-    cascade.mode = lsn::failure_mode::kessler_cascade;
-    cascade.cascade_initial_hits = 2;
-    cascade.cascade_base_daily_hazard = flags.cascade_hazard;
-    cascade.cascade_escalation = flags.cascade_escalation;
-    cascade.cascade_cooldown_s = 6.0 * 3600.0;
-    cascade.seed = seed;
+    const lsn::failure_scenario& cascade = flags.cascade;
     plan.scenarios.push_back({"kessler cascade", cascade});
     {
-        lsn::failure_scenario s;
-        s.mode = lsn::failure_mode::solar_storm;
+        lsn::failure_scenario s = flags.storm;
         s.plane_daily_fluence = plane_fluence;
-        s.storm_start_s = 6.0 * 3600.0;
-        s.storm_duration_s = 6.0 * 3600.0;
-        // The 2026 epoch sits past the modeled cycle-24 envelope, where the
-        // deterministic activity level is nearly zero — normalize it out so
-        // the template injects a cycle-max-equivalent fluence spike.
-        const double activity = std::max(
-            radiation::solar_activity(epoch.plus_seconds(9.0 * 3600.0)), 1.0e-9);
-        s.storm_fluence_multiplier = 1.0 + flags.storm_boost / activity;
-        s.seed = seed;
         plan.scenarios.push_back({"solar storm", s});
     }
     {
@@ -240,14 +270,10 @@ int main(int argc, char** argv)
     // throughput against the diurnal gravity matrix, and delay-tolerant bulk
     // delivery (time-expanded store-and-forward vs the per-epoch replication
     // floor) all judge the same scenarios on one shared context.
-    traffic::traffic_sweep_options traffic_opts;
-    traffic_opts.matrix.total_demand_gbps = flags.offered_gbps;
-
-    tempo::bulk_route_options bulk_opts;
-    bulk_opts.sat_buffer_gb = flags.buffer_gb;
+    const traffic::traffic_sweep_options& traffic_opts = flags.traffic;
+    const tempo::bulk_route_options& bulk_opts = flags.bulk;
     const double bulk_gb = flags.bulk_gb;
-    const double bulk_deadline_s =
-        std::min(flags.bulk_deadline_h * 3600.0, sweep.duration_s);
+    const double bulk_deadline_s = flags.bulk_deadline_s;
     const int n_gw = static_cast<int>(stations.size());
     std::vector<tempo::bulk_transfer_request> bulk_requests;
     for (int g = 0; g < n_gw; ++g)
@@ -262,9 +288,7 @@ int main(int argc, char** argv)
     // Session-level serving: N user terminals sampled from the population
     // grid (cell aggregates, so memory stays O(populated cells) even at
     // millions of sessions), judged per step against beam/satellite limits.
-    serve::serving_options serving_opts;
-    serving_opts.n_sessions = flags.sessions;
-    serving_opts.seed = seed;
+    const serve::serving_options& serving_opts = flags.serving;
     const auto serving =
         std::make_shared<exp::serving_engine>(population, serving_opts);
 

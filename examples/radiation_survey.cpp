@@ -2,7 +2,11 @@
 // across altitude and inclination, with the failure-rate and sparing
 // implications (paper §3.2).
 //
-// Usage: radiation_survey [--altitude-km=560] [--date=2014-03-15]
+// Usage: radiation_survey [--altitude-km=560]
+//
+// A malformed or unusable altitude (`--altitude-km=-5`) stops the run before
+// any work, with the reason on stderr and exit status 2.
+#include <cmath>
 #include <iostream>
 
 #include "constellation/sun_sync.h"
@@ -11,6 +15,7 @@
 #include "radiation/solar_cycle.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/expects.h"
 #include "util/table.h"
 
 using namespace ssplane;
@@ -18,7 +23,15 @@ using namespace ssplane;
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    const double altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
+    double altitude_m = 0.0;
+    try {
+        altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
+        expects(std::isfinite(altitude_m) && altitude_m > 0.0,
+                "--altitude-km must be finite and positive");
+    } catch (const contract_violation& e) {
+        std::cerr << "radiation_survey: " << e.what() << "\n";
+        return 2;
+    }
 
     const radiation::radiation_environment env;
     const auto day = astro::instant::from_calendar(2014, 3, 15); // active period

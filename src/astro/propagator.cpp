@@ -61,14 +61,6 @@ void j2_propagator::states_at_offsets(const instant& base,
         out[i] = elements_to_state(elements_after(base_dt + offsets_s[i]));
 }
 
-std::vector<state_vector> j2_propagator::states_at_many(
-    const instant& base, std::span<const double> offsets_s) const
-{
-    std::vector<state_vector> out(offsets_s.size());
-    states_at_offsets(base, offsets_s, out);
-    return out;
-}
-
 double j2_propagator::nodal_period_s() const noexcept
 {
     return two_pi / (rates_.mean_anomaly_rate + rates_.arg_perigee_rate);

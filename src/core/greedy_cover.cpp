@@ -286,8 +286,7 @@ ss_design_result greedy_ss_cover(const design_problem& problem,
     return result;
 }
 
-plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem,
-                                         [[maybe_unused]] const ss_design_options& options)
+plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem)
 {
     plane_lower_bounds bounds;
 

@@ -68,8 +68,7 @@ struct plane_lower_bounds {
         return per_cell_bound > volume_bound ? per_cell_bound : volume_bound;
     }
 };
-plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem,
-                                         const ss_design_options& options = {});
+plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem);
 
 /// Number of satellites per plane implied by the options for this problem
 /// (street-of-coverage minimum + margin when options.sats_per_plane == 0).

@@ -1,48 +1,9 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <limits>
 #include <ostream>
 
 namespace ssplane::obs {
-
-void distribution::record(double value) noexcept
-{
-    const std::lock_guard lock(mutex_);
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    sum_ += value;
-}
-
-std::uint64_t distribution::count() const noexcept
-{
-    const std::lock_guard lock(mutex_);
-    return count_;
-}
-
-double distribution::sum() const noexcept
-{
-    const std::lock_guard lock(mutex_);
-    return sum_;
-}
-
-double distribution::min() const noexcept
-{
-    const std::lock_guard lock(mutex_);
-    return min_;
-}
-
-double distribution::max() const noexcept
-{
-    const std::lock_guard lock(mutex_);
-    return max_;
-}
 
 registry& registry::instance() noexcept
 {
@@ -63,51 +24,22 @@ counter& registry::get_counter(std::string_view name, bool deterministic)
     return *slot;
 }
 
-distribution& registry::get_distribution(std::string_view name,
-                                         bool deterministic)
-{
-    const std::lock_guard lock(mutex_);
-    const auto it = distributions_.find(name);
-    if (it != distributions_.end()) return *it->second;
-    auto& slot = distributions_[std::string(name)];
-    slot.reset(new distribution(deterministic));
-    return *slot;
-}
-
 void registry::reset()
 {
     const std::lock_guard lock(mutex_);
     for (auto& [name, c] : counters_)
         c->value_.store(0, std::memory_order_relaxed);
-    for (auto& [name, d] : distributions_) {
-        const std::lock_guard value_lock(d->mutex_);
-        d->count_ = 0;
-        d->sum_ = 0.0;
-        d->min_ = 0.0;
-        d->max_ = 0.0;
-    }
 }
 
 std::vector<metric_sample> registry::snapshot() const
 {
     const std::lock_guard lock(mutex_);
     std::vector<metric_sample> samples;
-    samples.reserve(counters_.size() + 4 * distributions_.size());
+    samples.reserve(counters_.size());
+    // counters_ is a std::map, so the samples come out in name order.
     for (const auto& [name, c] : counters_)
         samples.push_back(
             {name, static_cast<double>(c->value()), c->deterministic()});
-    for (const auto& [name, d] : distributions_) {
-        const bool det = d->deterministic();
-        samples.push_back({name + ".count", static_cast<double>(d->count()), det});
-        samples.push_back({name + ".max", d->max(), det});
-        samples.push_back({name + ".min", d->min(), det});
-        samples.push_back({name + ".sum", d->sum(), det});
-    }
-    // Counters and distribution facets interleave by full name.
-    std::sort(samples.begin(), samples.end(),
-              [](const metric_sample& a, const metric_sample& b) {
-                  return a.name < b.name;
-              });
     return samples;
 }
 

@@ -102,9 +102,9 @@ public:
     /// Multiplicative proton-belt response to solar activity.
     double proton_activity_scale(double activity) const noexcept;
 
-    /// Recombine cached components with an activity level. `flux()` is
-    /// exactly combine(components_at(r), activity), so cached evaluation
-    /// paths match the direct path bit-for-bit.
+    /// Recombine components with an activity level. `flux()` is exactly
+    /// combine(components_at(r), activity), so a path that factors out the
+    /// activity matches the direct path bit-for-bit.
     particle_flux combine(const flux_components& c, double activity) const noexcept;
 
     const dipole_model& dipole() const noexcept { return dipole_; }

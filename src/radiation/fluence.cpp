@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "astro/frames.h"
-#include "radiation/flux_cache.h"
 #include "radiation/solar_cycle.h"
 #include "util/expects.h"
 #include "util/parallel.h"
@@ -88,12 +87,40 @@ fluence_result daily_fluence(const radiation_environment& env,
     return accumulate_fluence(env, orbit, day, astro::seconds_per_day, step_s);
 }
 
+namespace {
+
+/// Calls `visit(i, r_ecef)` for every cell of `grid` at `altitude_m`, with
+/// `i` the row-major cell index, in parallel over cells.
+template <class Visit>
+void for_each_cell(const geo::lat_lon_grid& grid, double altitude_m, Visit&& visit)
+{
+    const std::size_t n_lon = grid.n_lon();
+    parallel_for(grid.n_lat() * n_lon, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const astro::geodetic g{grid.latitude_center_deg(i / n_lon),
+                                    grid.longitude_center_deg(i % n_lon), altitude_m};
+            visit(i, astro::geodetic_to_ecef(g));
+        }
+    });
+}
+
+} // namespace
+
 flux_maps flux_map_at_altitude(const radiation_environment& env,
                                double altitude_m,
                                double cell_deg,
                                const astro::instant& t)
 {
-    return flux_map_cache(env, altitude_m, cell_deg).flux_map(solar_activity(t));
+    const double activity = solar_activity(t);
+    flux_maps maps{geo::lat_lon_grid(cell_deg), geo::lat_lon_grid(cell_deg)};
+    const auto electrons = maps.electrons.field().values();
+    const auto protons = maps.protons.field().values();
+    for_each_cell(maps.electrons, altitude_m, [&](std::size_t i, const vec3& r) {
+        const particle_flux f = env.flux(r, activity);
+        electrons[i] = f.electrons_cm2_s_mev;
+        protons[i] = f.protons_cm2_s_mev;
+    });
+    return maps;
 }
 
 geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
@@ -102,16 +129,23 @@ geo::lat_lon_grid max_electron_flux_map(const radiation_environment& env,
                                         int n_days,
                                         std::uint64_t seed)
 {
-    // Activity enters the electron flux as a multiplicative scale on the
-    // outer belt, so the max over days at each cell is achieved on the
-    // max-activity day — one lattice build plus per-day scales serves the
-    // whole sweep.
-    const flux_map_cache cache(env, altitude_m, cell_deg);
     const auto days = sample_cycle24_days(n_days, seed);
-    std::vector<double> activities;
-    activities.reserve(days.size());
-    for (const auto& day : days) activities.push_back(solar_activity(day));
-    return cache.max_electron_map(activities);
+
+    // Activity enters the electron flux only as a multiplicative scale on
+    // the outer belt, whose component is >= 0 everywhere. So each cell's
+    // max over days is its flux at the largest outer-belt scale: one model
+    // evaluation per cell, equal to the per-day max loop.
+    double max_scale = env.outer_activity_scale(solar_activity(days[0]));
+    for (const auto& day : days)
+        max_scale = std::max(max_scale, env.outer_activity_scale(solar_activity(day)));
+
+    geo::lat_lon_grid out(cell_deg);
+    const auto values = out.field().values();
+    for_each_cell(out, altitude_m, [&](std::size_t i, const vec3& r) {
+        const flux_components c = env.components_at(r);
+        values[i] = c.electron_inner + c.electron_outer * max_scale;
+    });
+    return out;
 }
 
 } // namespace ssplane::radiation

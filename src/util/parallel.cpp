@@ -57,10 +57,7 @@ public:
         {
             const std::lock_guard lock(mutex_);
             tasks_.push_back(std::move(task));
-            // Scheduler telemetry: how deep the queue got before workers
-            // drained it. Depends on timing, hence _SCHED.
             OBS_COUNT_SCHED("pool.tasks");
-            OBS_RECORD_SCHED("pool.queue_depth", tasks_.size());
         }
         wake_.notify_one();
     }

@@ -62,24 +62,6 @@ double median(std::span<const double> xs)
     return percentile(xs, 50.0);
 }
 
-sample_summary summarize(std::span<const double> xs)
-{
-    sample_summary s;
-    s.count = xs.size();
-    if (xs.empty()) return s;
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    s.mean = mean(xs);
-    s.stddev = stddev(xs);
-    s.min = sorted.front();
-    s.max = sorted.back();
-    s.p25 = percentile_sorted(sorted, 25.0);
-    s.median = percentile_sorted(sorted, 50.0);
-    s.p75 = percentile_sorted(sorted, 75.0);
-    s.p95 = percentile_sorted(sorted, 95.0);
-    return s;
-}
-
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys)
 {
     expects(xs.size() == ys.size(),

@@ -31,22 +31,6 @@ double percentile_sorted(std::span<const double> sorted, double p);
 /// Median (50th percentile).
 double median(std::span<const double> xs);
 
-/// Summary of a sample, computed in one pass over a sorted copy.
-struct sample_summary {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double p25 = 0.0;
-    double median = 0.0;
-    double p75 = 0.0;
-    double p95 = 0.0;
-    double max = 0.0;
-};
-
-/// Compute all summary statistics for a sample.
-sample_summary summarize(std::span<const double> xs);
-
 /// Pearson correlation coefficient of two equal-length samples. Requires
 /// xs.size() == ys.size(); 0 when fewer than 2 samples or when either
 /// sample is constant (no variance to correlate against).

@@ -1,6 +1,5 @@
-#include "radiation/flux_cache.h"
+#include "radiation/fluence.h"
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,12 +18,6 @@ const radiation_environment& shared_env()
 }
 
 const astro::instant k_day = astro::instant::from_calendar(2014, 3, 15);
-
-void expect_relative_near(double actual, double expected, double rel_tol)
-{
-    const double scale = std::max(std::abs(expected), 1e-30);
-    EXPECT_NEAR(actual, expected, rel_tol * scale);
-}
 
 TEST(FluxComponents, CombineMatchesDirectFlux)
 {
@@ -46,48 +39,41 @@ TEST(FluxComponents, CombineMatchesDirectFlux)
     }
 }
 
-TEST(FluxMapCache, FluxMapMatchesDirectEvaluation)
+TEST(FluxMap, AtAltitudeMatchesDirectEvaluation)
 {
     const auto& env = shared_env();
     const double altitude_m = 560.0e3;
-    const double cell_deg = 10.0;
-    const flux_map_cache cache(env, altitude_m, cell_deg);
     const double activity = solar_activity(k_day);
 
-    const flux_maps cached = cache.flux_map(activity);
-    ASSERT_EQ(cached.electrons.n_lat(), 18u);
-    ASSERT_EQ(cached.electrons.n_lon(), 36u);
+    const flux_maps maps = flux_map_at_altitude(env, altitude_m, 10.0, k_day);
+    ASSERT_EQ(maps.electrons.n_lat(), 18u);
+    ASSERT_EQ(maps.electrons.n_lon(), 36u);
 
-    for (std::size_t r = 0; r < cached.electrons.n_lat(); ++r) {
-        for (std::size_t c = 0; c < cached.electrons.n_lon(); ++c) {
-            const astro::geodetic g{cached.electrons.latitude_center_deg(r),
-                                    cached.electrons.longitude_center_deg(c),
+    for (std::size_t r = 0; r < maps.electrons.n_lat(); ++r) {
+        for (std::size_t c = 0; c < maps.electrons.n_lon(); ++c) {
+            const astro::geodetic g{maps.electrons.latitude_center_deg(r),
+                                    maps.electrons.longitude_center_deg(c),
                                     altitude_m};
             const particle_flux direct =
                 env.flux(astro::geodetic_to_ecef(g), activity);
-            expect_relative_near(cached.electrons.field()(r, c),
-                                 direct.electrons_cm2_s_mev, 1e-6);
-            expect_relative_near(cached.protons.field()(r, c),
-                                 direct.protons_cm2_s_mev, 1e-6);
+            EXPECT_EQ(maps.electrons.field()(r, c), direct.electrons_cm2_s_mev);
+            EXPECT_EQ(maps.protons.field()(r, c), direct.protons_cm2_s_mev);
         }
     }
 }
 
-TEST(FluxMapCache, MaxElectronMapMatchesDirectDayLoop)
+TEST(FluxMap, MaxElectronMatchesDirectDayLoop)
 {
     const auto& env = shared_env();
     const double altitude_m = 560.0e3;
     const double cell_deg = 15.0;
-    const auto days = sample_cycle24_days(16, 99);
-    std::vector<double> activities;
-    for (const auto& day : days) activities.push_back(solar_activity(day));
+    const geo::lat_lon_grid max_map =
+        max_electron_flux_map(env, altitude_m, cell_deg, 16, 99);
 
-    const flux_map_cache cache(env, altitude_m, cell_deg);
-    const geo::lat_lon_grid cached = cache.max_electron_map(activities);
-
-    // Direct path: the seed implementation's per-day, per-cell max.
+    // Direct path: a per-day, per-cell max of full model evaluations.
     geo::lat_lon_grid direct(cell_deg);
-    for (const double activity : activities) {
+    for (const auto& day : sample_cycle24_days(16, 99)) {
+        const double activity = solar_activity(day);
         for (std::size_t r = 0; r < direct.n_lat(); ++r) {
             for (std::size_t c = 0; c < direct.n_lon(); ++c) {
                 const astro::geodetic g{direct.latitude_center_deg(r),
@@ -102,24 +88,25 @@ TEST(FluxMapCache, MaxElectronMapMatchesDirectDayLoop)
 
     for (std::size_t r = 0; r < direct.n_lat(); ++r)
         for (std::size_t c = 0; c < direct.n_lon(); ++c)
-            expect_relative_near(cached.field()(r, c), direct.field()(r, c), 1e-6);
+            EXPECT_EQ(max_map.field()(r, c), direct.field()(r, c));
 }
 
-TEST(FluxMapCache, ParallelBuildMatchesSerialBuild)
+TEST(FluxMap, IndependentOfThreadCount)
 {
     const auto& env = shared_env();
     set_thread_count(1);
-    const flux_map_cache serial(env, 560.0e3, 15.0);
+    const auto serial = flux_map_at_altitude(env, 560.0e3, 15.0, k_day);
+    const auto serial_max = max_electron_flux_map(env, 560.0e3, 15.0, 16, 99);
     set_thread_count(4);
-    const flux_map_cache parallel(env, 560.0e3, 15.0);
+    const auto parallel = flux_map_at_altitude(env, 560.0e3, 15.0, k_day);
+    const auto parallel_max = max_electron_flux_map(env, 560.0e3, 15.0, 16, 99);
     set_thread_count(0);
 
-    const auto a = serial.flux_map(0.7);
-    const auto b = parallel.flux_map(0.7);
-    for (std::size_t r = 0; r < a.electrons.n_lat(); ++r) {
-        for (std::size_t c = 0; c < a.electrons.n_lon(); ++c) {
-            EXPECT_DOUBLE_EQ(a.electrons.field()(r, c), b.electrons.field()(r, c));
-            EXPECT_DOUBLE_EQ(a.protons.field()(r, c), b.protons.field()(r, c));
+    for (std::size_t r = 0; r < serial.electrons.n_lat(); ++r) {
+        for (std::size_t c = 0; c < serial.electrons.n_lon(); ++c) {
+            EXPECT_EQ(serial.electrons.field()(r, c), parallel.electrons.field()(r, c));
+            EXPECT_EQ(serial.protons.field()(r, c), parallel.protons.field()(r, c));
+            EXPECT_EQ(serial_max.field()(r, c), parallel_max.field()(r, c));
         }
     }
 }

@@ -49,21 +49,6 @@ TEST(Stats, MedianUnsortedInput)
     EXPECT_NEAR(median(xs), 5.0, 1e-12);
 }
 
-TEST(Stats, SummaryIsConsistent)
-{
-    std::vector<double> xs;
-    for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));
-    const auto s = summarize(xs);
-    EXPECT_EQ(s.count, 100u);
-    EXPECT_NEAR(s.mean, 50.5, 1e-12);
-    EXPECT_EQ(s.min, 1.0);
-    EXPECT_EQ(s.max, 100.0);
-    EXPECT_NEAR(s.median, 50.5, 1e-12);
-    EXPECT_LE(s.p25, s.median);
-    EXPECT_LE(s.median, s.p75);
-    EXPECT_LE(s.p75, s.p95);
-}
-
 TEST(Stats, LinspaceEndpointsAndSpacing)
 {
     const auto xs = linspace(0.0, 10.0, 11);
