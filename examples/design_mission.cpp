@@ -20,48 +20,29 @@
 
 using namespace ssplane;
 
-namespace {
-
-/// Every flag the design takes, read and checked before any work.
-struct mission_flags {
-    double bandwidth;
-    double altitude_m;
-    double min_elev;
-};
-
-mission_flags read_flags(const cli_args& args)
-{
-    mission_flags f{};
-    f.bandwidth = args.get_double("bandwidth", 50.0);
-    expects(std::isfinite(f.bandwidth) && f.bandwidth > 0.0,
-            "--bandwidth must be finite and positive");
-    f.altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
-    expects(std::isfinite(f.altitude_m) && f.altitude_m > 0.0,
-            "--altitude-km must be finite and positive");
-    expects(constellation::sun_synchronous_inclination_rad(f.altitude_m).has_value(),
-            "--altitude-km has no sun-synchronous inclination");
-    const double min_elev_deg = args.get_double("min-elev-deg", 30.0);
-    expects(min_elev_deg >= 0.0 && min_elev_deg < 90.0,
-            "--min-elev-deg must lie in [0, 90)");
-    f.min_elev = deg2rad(min_elev_deg);
-    return f;
-}
-
-} // namespace
-
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    mission_flags flags;
+    double bandwidth = 0.0;
+    double altitude_m = 0.0;
+    double min_elev = 0.0;
     try {
-        flags = read_flags(args);
+        bandwidth = args.get_double("bandwidth", 50.0);
+        expects(std::isfinite(bandwidth) && bandwidth > 0.0,
+                "--bandwidth must be finite and positive");
+        altitude_m = args.get_double("altitude-km", 560.0) * 1000.0;
+        expects(std::isfinite(altitude_m) && altitude_m > 0.0,
+                "--altitude-km must be finite and positive");
+        expects(constellation::sun_synchronous_inclination_rad(altitude_m).has_value(),
+                "--altitude-km has no sun-synchronous inclination");
+        const double min_elev_deg = args.get_double("min-elev-deg", 30.0);
+        expects(min_elev_deg >= 0.0 && min_elev_deg < 90.0,
+                "--min-elev-deg must lie in [0, 90)");
+        min_elev = deg2rad(min_elev_deg);
     } catch (const contract_violation& e) {
         std::cerr << "design_mission: " << e.what() << "\n";
         return 2;
     }
-    const double bandwidth = flags.bandwidth;
-    const double altitude_m = flags.altitude_m;
-    const double min_elev = flags.min_elev;
 
     std::cout << "=== SS-plane mission design ===\n"
               << "bandwidth multiplier: " << bandwidth

@@ -45,7 +45,7 @@ TEST(Metrics, ResetZeroesValuesButKeepsRegistrations)
     EXPECT_TRUE(found);
 }
 
-TEST(Metrics, SnapshotIsSortedByNameAndFlattensDistributions)
+TEST(Metrics, SnapshotIsSortedByName)
 {
     registry::instance().reset();
     registry::instance().get_counter("test.snapshot.b").add(2);
