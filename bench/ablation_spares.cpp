@@ -18,7 +18,6 @@ int main()
 
     const radiation::radiation_environment env;
     const auto day = astro::instant::from_calendar(2014, 3, 15);
-    lsn::failure_model_options opts; // 5-year mission
 
     struct orbit_case {
         const char* name;
@@ -39,9 +38,9 @@ int main()
         const auto fluence =
             radiation::daily_fluence(env, 560.0e3, deg2rad(c.inclination_deg), day, 0.0,
                                      30.0);
-        const double rate = lsn::annual_failure_rate(fluence.electrons_cm2_mev, opts);
-        const auto s995 = lsn::spares_for_availability(25, rate, 0.995, opts, 7, 256);
-        const auto s999 = lsn::spares_for_availability(25, rate, 0.999, opts, 7, 256);
+        const double rate = lsn::annual_failure_rate(fluence.electrons_cm2_mev);
+        const auto s995 = lsn::spares_for_availability(25, rate, 0.995, 7, 256);
+        const auto s999 = lsn::spares_for_availability(25, rate, 0.999, 7, 256);
         csv.row_text({c.name, format_number(fluence.electrons_cm2_mev, 4),
                       format_number(rate, 4), format_number(s995.spares),
                       format_number(s999.spares),

@@ -101,14 +101,13 @@ int main(int argc, char** argv)
     const auto ss_rad = core::ss_constellation_radiation(design, env, day, rad);
     const auto wd_rad = core::wd_constellation_radiation(baseline, env, day, rad);
 
-    lsn::failure_model_options fail;
-    const double ss_rate = lsn::annual_failure_rate(ss_rad.median_electron_fluence, fail);
-    const double wd_rate = lsn::annual_failure_rate(wd_rad.median_electron_fluence, fail);
+    const double ss_rate = lsn::annual_failure_rate(ss_rad.median_electron_fluence);
+    const double wd_rate = lsn::annual_failure_rate(wd_rad.median_electron_fluence);
     const auto ss_spares =
-        lsn::spares_for_availability(design.sats_per_plane, ss_rate, 0.999, fail, 1);
+        lsn::spares_for_availability(design.sats_per_plane, ss_rate, 0.999, 1);
     const auto wd_spares = lsn::spares_for_availability(
         baseline.shells.empty() ? 20 : baseline.shells[0].parameters.sats_per_plane,
-        wd_rate, 0.999, fail, 1);
+        wd_rate, 0.999, 1);
 
     std::cout << "\n";
     table_printer cmp({"metric", "SS design", "WD baseline"});

@@ -35,7 +35,6 @@ int main(int argc, char** argv)
 
     const radiation::radiation_environment env;
     const auto day = astro::instant::from_calendar(2014, 3, 15); // active period
-    lsn::failure_model_options fail;
 
     std::cout << "=== Radiation survey at " << altitude_m / 1000.0
               << " km (solar cycle 24 active period) ===\n"
@@ -47,8 +46,8 @@ int main(int argc, char** argv)
     for (double inc : {30.0, 45.0, 53.0, 63.4, 65.0, 70.0, 80.0, 90.0, 97.6}) {
         const auto f =
             radiation::daily_fluence(env, altitude_m, deg2rad(inc), day, 0.0, 30.0);
-        const double rate = lsn::annual_failure_rate(f.electrons_cm2_mev, fail);
-        const auto spares = lsn::spares_for_availability(25, rate, 0.999, fail, 1, 128);
+        const double rate = lsn::annual_failure_rate(f.electrons_cm2_mev);
+        const auto spares = lsn::spares_for_availability(25, rate, 0.999, 1, 128);
         table.row({format_number(inc, 4), format_number(f.electrons_cm2_mev, 4),
                    format_number(f.protons_cm2_mev, 4), format_number(rate, 3),
                    format_number(spares.spares)});

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "astro/frames.h"
+#include "astro/propagator.h"
 #include "geo/coverage.h"
 #include "util/angles.h"
 #include "util/expects.h"
@@ -91,9 +92,15 @@ std::vector<rgt_design> enumerate_rgts(double inclination_rad,
 
 namespace {
 
+// Track-coverage sizing constants (see size_rgt_track_coverage).
+constexpr double min_elevation_rad = 0.5235987755982988; // 30°
+constexpr double service_swath_fraction = 0.9;
+constexpr double track_step_s = 20.0;
+
 /// Closed track length [rad]: sum of central angles between consecutive
-/// sampled subsatellite directions over one repeat period.
-double track_length_rad(const rgt_design& design, double step_s)
+/// subsatellite directions sampled every `track_step_s` over one repeat
+/// period.
+double track_length_rad(const rgt_design& design)
 {
     astro::orbital_elements el;
     el.semi_major_axis_m = astro::semi_major_axis_for_altitude_m(design.altitude_m);
@@ -105,10 +112,10 @@ double track_length_rad(const rgt_design& design, double step_s)
     vec3 prev;
     bool first = true;
     const auto n_steps =
-        static_cast<std::size_t>(std::ceil(design.repeat_period_s / step_s));
+        static_cast<std::size_t>(std::ceil(design.repeat_period_s / track_step_s));
     for (std::size_t i = 0; i <= n_steps; ++i) {
         const double dt =
-            std::min(static_cast<double>(i) * step_s, design.repeat_period_s);
+            std::min(static_cast<double>(i) * track_step_s, design.repeat_period_s);
         const astro::instant t = epoch.plus_seconds(dt);
         const vec3 dir =
             astro::eci_to_ecef(orbit.state_at(t).position_m, t).normalized();
@@ -121,19 +128,18 @@ double track_length_rad(const rgt_design& design, double step_s)
 
 } // namespace
 
-rgt_sizing size_rgt_track_coverage(const rgt_design& design,
-                                   const rgt_coverage_options& options)
+rgt_sizing size_rgt_track_coverage(const rgt_design& design)
 {
     rgt_sizing s;
     const auto cov =
-        geo::coverage_geometry::from(design.altitude_m, options.min_elevation_rad);
+        geo::coverage_geometry::from(design.altitude_m, min_elevation_rad);
     s.footprint_half_angle_rad = cov.earth_central_half_angle_rad;
     s.pass_spacing_rad = two_pi / static_cast<double>(design.revolutions);
     s.gives_uniform_coverage = 2.0 * s.footprint_half_angle_rad >= s.pass_spacing_rad;
     s.service_half_width_rad =
-        std::min(options.service_swath_fraction * s.footprint_half_angle_rad,
+        std::min(service_swath_fraction * s.footprint_half_angle_rad,
                  s.pass_spacing_rad / 2.0);
-    s.track_length_rad = track_length_rad(design, options.track_step_s);
+    s.track_length_rad = track_length_rad(design);
 
     const double lambda = s.footprint_half_angle_rad;
     const double c = s.service_half_width_rad;
@@ -141,35 +147,6 @@ rgt_sizing size_rgt_track_coverage(const rgt_design& design,
     s.n_satellites =
         chord > 0.0 ? static_cast<int>(std::ceil(s.track_length_rad / chord)) : 0;
     return s;
-}
-
-std::vector<satellite> satellites_on_track(const rgt_design& design, int n,
-                                           [[maybe_unused]] const astro::instant& epoch)
-{
-    expects(n >= 1, "need at least one satellite");
-
-    astro::orbital_elements base;
-    base.semi_major_axis_m = astro::semi_major_axis_for_altitude_m(design.altitude_m);
-    base.inclination_rad = design.inclination_rad;
-    const astro::j2_rates rates = astro::compute_j2_rates(base);
-
-    // A satellite delayed by tau along the same ground track is the base
-    // orbit delayed by tau and rotated about the pole by (w_earth x tau):
-    //   RAAN  += (w_earth - dRAAN/dt) x tau
-    //   u     -= (n̄ + dω/dt) x tau
-    std::vector<satellite> sats;
-    sats.reserve(static_cast<std::size_t>(n));
-    for (int m = 0; m < n; ++m) {
-        const double tau = design.repeat_period_s * static_cast<double>(m) /
-                           static_cast<double>(n);
-        const double raan =
-            (astro::earth_rotation_rate_rad_s - rates.raan_rate) * tau;
-        const double u = -(rates.mean_anomaly_rate + rates.arg_perigee_rate) * tau;
-        sats.push_back({0, m,
-                        astro::circular_orbit(design.altitude_m, design.inclination_rad,
-                                              raan, u)});
-    }
-    return sats;
 }
 
 } // namespace ssplane::constellation

@@ -21,9 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "astro/propagator.h"
-#include "constellation/walker.h"
-
 namespace ssplane::constellation {
 
 /// A solved repeat-ground-track design.
@@ -51,13 +48,6 @@ std::vector<rgt_design> enumerate_rgts(double inclination_rad,
                                        double alt_min_m, double alt_max_m,
                                        int max_days);
 
-/// Options for track-coverage sizing.
-struct rgt_coverage_options {
-    double min_elevation_rad = 0.5235987755982988; ///< 30°.
-    double service_swath_fraction = 0.9; ///< Cap c_svc at this fraction of λ.
-    double track_step_s = 20.0;          ///< Track sampling step for length.
-};
-
 /// Result of sizing continuous coverage of one RGT's service swath.
 struct rgt_sizing {
     double track_length_rad = 0.0;       ///< Closed track length [rad].
@@ -68,14 +58,9 @@ struct rgt_sizing {
     int n_satellites = 0;                ///< Minimum satellites on the track.
 };
 
-/// Compute the sizing for one design.
-rgt_sizing size_rgt_track_coverage(const rgt_design& design,
-                                   const rgt_coverage_options& options = {});
-
-/// Generate `n` satellites riding the same ground track, equally spaced in
-/// time delay over the repeat period (the delayed-orbit family).
-std::vector<satellite> satellites_on_track(const rgt_design& design, int n,
-                                           const astro::instant& epoch);
+/// Compute the sizing for one design at a 30° minimum elevation, with c_svc
+/// capped at 0.9 λ and the track sampled every 20 s for its length.
+rgt_sizing size_rgt_track_coverage(const rgt_design& design);
 
 } // namespace ssplane::constellation
 

@@ -19,6 +19,8 @@ namespace ssplane::core {
 
 namespace {
 
+constexpr int street_margin_sats = 0; // extra satellites beyond the street minimum
+
 /// A stretch [begin, end) of covered flat cell indices within one row.
 struct cell_run {
     std::size_t row = 0;
@@ -201,7 +203,7 @@ int resolve_sats_per_plane(const design_problem& problem,
         geo::coverage_geometry::from(problem.altitude_m, problem.min_elevation_rad);
     const int s_min = geo::min_sats_for_street(cov.earth_central_half_angle_rad);
     expects(s_min > 0, "no closed street exists at this altitude/elevation");
-    return s_min + options.street_margin_sats;
+    return s_min + street_margin_sats;
 }
 
 ss_design_result greedy_ss_cover(const design_problem& problem,

@@ -27,8 +27,7 @@ enum class seed_rule : std::uint8_t {
 
 /// Options controlling plane construction and the search.
 struct ss_design_options {
-    int sats_per_plane = 0;      ///< 0 = auto (street minimum + margin).
-    int street_margin_sats = 0;  ///< Extra satellites beyond the street minimum.
+    int sats_per_plane = 0;      ///< 0 = auto (street minimum).
     int max_planes = 200000;     ///< Safety cap.
     seed_rule rule = seed_rule::max_demand;
     std::uint64_t seed = 42;     ///< Only used by seed_rule::random_cell.
@@ -71,7 +70,7 @@ struct plane_lower_bounds {
 plane_lower_bounds ss_plane_lower_bounds(const design_problem& problem);
 
 /// Number of satellites per plane implied by the options for this problem
-/// (street-of-coverage minimum + margin when options.sats_per_plane == 0).
+/// (the street-of-coverage minimum when options.sats_per_plane == 0).
 int resolve_sats_per_plane(const design_problem& problem,
                            const ss_design_options& options);
 

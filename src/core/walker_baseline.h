@@ -23,9 +23,7 @@ namespace ssplane::core {
 
 /// Options for the Walker baseline construction.
 struct wd_baseline_options {
-    double shell_spacing_m = 5.0e3;  ///< Altitude offset between shells.
     double min_inclination_deg = 15.0; ///< Floor for very narrow demand bands.
-    double inclination_bucket_deg = 2.0; ///< Sizing memoization granularity.
     /// Coverage-check fidelity used by the sizer.
     double grid_spacing_deg = 5.0;
     int n_time_steps = 64;
@@ -51,7 +49,9 @@ struct wd_baseline_result {
 };
 
 /// Designer with a sizing cache: sizing a shell is expensive and shells of
-/// similar inclination recur across bandwidth multipliers.
+/// similar inclination recur across bandwidth multipliers. Shells sit in
+/// 5 km altitude steps around the design altitude, and inclinations are
+/// sized in 2° buckets.
 class walker_baseline_designer {
 public:
     explicit walker_baseline_designer(const wd_baseline_options& options = {});

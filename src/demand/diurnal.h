@@ -35,13 +35,11 @@ struct tod_statistics {
 struct site_ensemble_options {
     int n_sites = 283;   ///< CESNET-TimeSeries24 site count.
     int n_days = 365;    ///< One year of hourly samples.
-    double noise_sigma_log = 0.35;   ///< Lognormal multiplicative noise.
-    double burst_probability = 0.07; ///< Heavy-tail burst chance per sample.
-    double burst_pareto_alpha = 1.1; ///< Burst size tail index.
-    double burst_pareto_min = 4.0;   ///< Minimum burst multiplier.
 };
 
-/// Synthetic ensemble of access-network monitoring sites.
+/// Synthetic ensemble of access-network monitoring sites. Each hourly sample
+/// carries lognormal noise (sigma 0.35) and, with probability 0.07, a
+/// Pareto burst (minimum 4, tail index 1.1, capped at 100x).
 class site_ensemble {
 public:
     site_ensemble(const site_ensemble_options& options, std::uint64_t seed);

@@ -51,11 +51,6 @@ evaluation_context::timeline_key evaluation_context::key_of(
         key.seed = scenario.seed;
         key.knobs = scenario.plane_daily_fluence;
         key.knobs.push_back(scenario.horizon_days);
-        // Only the rate-map fields of failure_model_options feed the draw
-        // (annual_failure_rate); the sparing knobs never do.
-        key.knobs.push_back(scenario.failure_options.base_annual_failure_rate);
-        key.knobs.push_back(scenario.failure_options.reference_electron_fluence);
-        key.knobs.push_back(scenario.failure_options.fluence_exponent);
         break;
     case lsn::failure_mode::kessler_cascade:
         key.seed = scenario.seed;
@@ -69,9 +64,6 @@ evaluation_context::timeline_key evaluation_context::key_of(
         key.knobs.push_back(scenario.storm_start_s);
         key.knobs.push_back(scenario.storm_duration_s);
         key.knobs.push_back(scenario.storm_fluence_multiplier);
-        key.knobs.push_back(scenario.failure_options.base_annual_failure_rate);
-        key.knobs.push_back(scenario.failure_options.reference_electron_fluence);
-        key.knobs.push_back(scenario.failure_options.fluence_exponent);
         break;
     case lsn::failure_mode::greedy_adversary:
         // Deterministic — no seed. The oracle (demand + traffic knobs) is

@@ -46,16 +46,4 @@ int min_sats_for_street(double lambda_rad) noexcept
     return (pi / static_cast<double>(s) < lambda_rad) ? s : s + 1;
 }
 
-int sats_for_street_width(double lambda_rad, double required_half_width_rad) noexcept
-{
-    if (required_half_width_rad >= lambda_rad) return 0;
-    int s = min_sats_for_street(lambda_rad);
-    if (s == 0) return 0;
-    while (street_half_width_rad(lambda_rad, s) < required_half_width_rad) {
-        ++s;
-        if (s > 100000) return 0; // unreachable in practice; guards div-by-zero misuse
-    }
-    return s;
-}
-
 } // namespace ssplane::geo

@@ -34,10 +34,6 @@ double street_half_width_rad(double lambda_rad, int sats_per_plane) noexcept;
 /// continuous street (π/S < λ).
 int min_sats_for_street(double lambda_rad) noexcept;
 
-/// Smallest number of satellites whose street half-width reaches
-/// `required_half_width_rad` (must be < lambda_rad), or 0 if impossible.
-int sats_for_street_width(double lambda_rad, double required_half_width_rad) noexcept;
-
 } // namespace ssplane::geo
 
 #endif // SSPLANE_GEO_COVERAGE_H

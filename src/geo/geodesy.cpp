@@ -50,11 +50,6 @@ double surface_distance_m(double lat1_deg, double lon1_deg,
            central_angle_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg);
 }
 
-double cross_track_angle_rad(const vec3& p, const vec3& pole) noexcept
-{
-    return std::abs(pi / 2.0 - angle_between(p, pole));
-}
-
 double cap_area_fraction(double half_angle_rad) noexcept
 {
     return (1.0 - std::cos(half_angle_rad)) / 2.0;

@@ -31,10 +31,6 @@ double central_angle_rad(const vec3& a, const vec3& b) noexcept;
 double surface_distance_m(double lat1_deg, double lon1_deg,
                           double lat2_deg, double lon2_deg) noexcept;
 
-/// Unsigned angular distance [rad] from point `p` (unit) to the great circle
-/// whose pole is `pole` (unit): |pi/2 - angle(p, pole)|.
-double cross_track_angle_rad(const vec3& p, const vec3& pole) noexcept;
-
 /// Fraction of the sphere's area within a cap of angular radius `half_angle_rad`.
 double cap_area_fraction(double half_angle_rad) noexcept;
 

@@ -126,20 +126,6 @@ std::vector<double> lat_lon_grid::max_over_longitude() const
     return out;
 }
 
-double lat_lon_grid::area_weighted_mean() const
-{
-    double weighted = 0.0;
-    double total_area = 0.0;
-    for (std::size_t r = 0; r < n_lat(); ++r) {
-        const double area = cell_area_km2(r);
-        for (std::size_t c = 0; c < n_lon(); ++c) {
-            weighted += field_(r, c) * area;
-            total_area += area;
-        }
-    }
-    return total_area > 0.0 ? weighted / total_area : 0.0;
-}
-
 lat_tod_grid::lat_tod_grid(double lat_cell_deg, double tod_cell_h)
     : lat_cell_deg_(lat_cell_deg),
       tod_cell_h_(tod_cell_h),

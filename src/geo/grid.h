@@ -84,9 +84,6 @@ public:
     /// Maximum field value in each latitude band (paper Fig. 3 reduction).
     std::vector<double> max_over_longitude() const;
 
-    /// Area-weighted mean of the field over the whole grid.
-    double area_weighted_mean() const;
-
 private:
     double cell_deg_;
     grid2d field_;

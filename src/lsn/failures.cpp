@@ -11,18 +11,28 @@
 
 namespace ssplane::lsn {
 
-double annual_failure_rate(double daily_electron_fluence,
-                           const failure_model_options& options) noexcept
+namespace {
+
+// Failure and sparing model constants (paper §2.1, §5(2)).
+constexpr double base_annual_failure_rate = 0.03;    // at the reference fluence
+constexpr double reference_electron_fluence = 7.0e9; // daily fluence at base rate
+constexpr double fluence_exponent = 1.0;             // rate ∝ (fluence/ref)^exp
+constexpr double spare_drift_days = 3.0;  // hot-swap time when a spare exists
+constexpr double launch_lead_days = 60.0; // restock time when spares run out
+constexpr double mission_years = 5.0;
+
+} // namespace
+
+double annual_failure_rate(double daily_electron_fluence) noexcept
 {
     if (daily_electron_fluence <= 0.0) return 0.0;
-    return options.base_annual_failure_rate *
-           std::pow(daily_electron_fluence / options.reference_electron_fluence,
-                    options.fluence_exponent);
+    return base_annual_failure_rate *
+           std::pow(daily_electron_fluence / reference_electron_fluence,
+                    fluence_exponent);
 }
 
 sparing_result simulate_plane_availability(int sats_per_plane, int spares,
                                            double annual_rate,
-                                           const failure_model_options& options,
                                            std::uint64_t seed,
                                            int n_trials)
 {
@@ -30,7 +40,7 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
     expects(spares >= 0, "spares must be non-negative");
     expects(annual_rate >= 0.0, "failure rate must be non-negative");
 
-    const double mission_days = options.mission_years * 365.25;
+    const double mission_days = mission_years * 365.25;
     const double daily_rate = annual_rate / 365.25;
 
     rng root(seed);
@@ -62,11 +72,11 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 
             if (spare_pool > 0) {
                 --spare_pool;
-                slot_downtime += std::min(options.spare_drift_days, mission_days - t);
+                slot_downtime += std::min(spare_drift_days, mission_days - t);
                 // The consumed spare is replaced by a launch.
-                restocks.push(t + options.launch_lead_days);
+                restocks.push(t + launch_lead_days);
             } else {
-                slot_downtime += std::min(options.launch_lead_days, mission_days - t);
+                slot_downtime += std::min(launch_lead_days, mission_days - t);
             }
         }
         downtime_sum += slot_downtime;
@@ -83,7 +93,6 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 
 sparing_result spares_for_availability(int sats_per_plane, double annual_rate,
                                        double target_availability,
-                                       const failure_model_options& options,
                                        std::uint64_t seed,
                                        int n_trials)
 {
@@ -92,7 +101,7 @@ sparing_result spares_for_availability(int sats_per_plane, double annual_rate,
     sparing_result last;
     for (int spares = 0; spares <= 32; ++spares) {
         last = simulate_plane_availability(sats_per_plane, spares, annual_rate,
-                                           options, seed, n_trials);
+                                           seed, n_trials);
         if (last.availability >= target_availability) {
             last.target_met = true;
             return last;

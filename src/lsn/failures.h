@@ -14,19 +14,9 @@
 
 namespace ssplane::lsn {
 
-/// Failure/sparing model parameters.
-struct failure_model_options {
-    double base_annual_failure_rate = 0.03;    ///< At the reference fluence.
-    double reference_electron_fluence = 7.0e9; ///< Daily fluence at base rate.
-    double fluence_exponent = 1.0;             ///< rate ∝ (fluence/ref)^exp.
-    double spare_drift_days = 3.0;   ///< Hot-swap time when a spare exists.
-    double launch_lead_days = 60.0;  ///< Restock time when spares exhausted.
-    double mission_years = 5.0;
-};
-
-/// Annual failure probability per satellite given its daily electron fluence.
-double annual_failure_rate(double daily_electron_fluence,
-                           const failure_model_options& options) noexcept;
+/// Annual failure probability per satellite given its daily electron fluence:
+/// 0.03/yr at the 7e9 reference fluence, scaling linearly with fluence.
+double annual_failure_rate(double daily_electron_fluence) noexcept;
 
 /// Result of a sparing simulation.
 struct sparing_result {
@@ -41,10 +31,12 @@ struct sparing_result {
 };
 
 /// Monte-Carlo availability of a plane of `sats_per_plane` active slots with
-/// `spares` in-orbit spares (replenished after launch_lead_days when used).
+/// `spares` in-orbit spares over a 5-year mission. A failed slot is restored
+/// from a spare after 3 days of drift; each used spare is restocked by a
+/// launch 60 days later; with no spare left the slot is down for that 60-day
+/// launch lead.
 sparing_result simulate_plane_availability(int sats_per_plane, int spares,
                                            double annual_rate,
-                                           const failure_model_options& options,
                                            std::uint64_t seed,
                                            int n_trials = 256);
 
@@ -54,7 +46,6 @@ sparing_result simulate_plane_availability(int sats_per_plane, int spares,
 /// with `target_met == false`.
 sparing_result spares_for_availability(int sats_per_plane, double annual_rate,
                                        double target_availability,
-                                       const failure_model_options& options,
                                        std::uint64_t seed,
                                        int n_trials = 256);
 

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "astro/constants.h"
+#include "lsn/failures.h"
 #include "lsn/routing.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -160,22 +161,14 @@ bool is_timeline_mode(failure_mode mode) noexcept
 
 namespace {
 
-/// The rate-map fields feed annual_failure_rate (and the campaign's
-/// mask-cache key), so they must be sane numbers — shared by the
-/// radiation_poisson and solar_storm validation arms.
+/// The per-plane fluence feeds annual_failure_rate (and the campaign's
+/// timeline-cache key), so every entry must be a sane number — shared by
+/// the radiation_poisson and solar_storm validation arms.
 void validate_rate_map(const failure_scenario& scenario)
 {
     for (const double fluence : scenario.plane_daily_fluence)
         expects(std::isfinite(fluence) && fluence >= 0.0,
                 "plane fluence must be finite and non-negative");
-    expects(std::isfinite(scenario.failure_options.base_annual_failure_rate) &&
-                scenario.failure_options.base_annual_failure_rate >= 0.0,
-            "base annual failure rate must be finite and non-negative");
-    expects(std::isfinite(scenario.failure_options.reference_electron_fluence) &&
-                scenario.failure_options.reference_electron_fluence > 0.0,
-            "reference fluence must be finite and positive");
-    expects(std::isfinite(scenario.failure_options.fluence_exponent),
-            "fluence exponent must be finite");
 }
 
 } // namespace
@@ -312,8 +305,7 @@ std::vector<std::uint8_t> sample_failures(const lsn_topology& topology,
         for (int i = 0; i < n; ++i) {
             const int plane = topology.satellites[static_cast<std::size_t>(i)].plane;
             const double rate = annual_failure_rate(
-                scenario.plane_daily_fluence[static_cast<std::size_t>(plane)],
-                scenario.failure_options);
+                scenario.plane_daily_fluence[static_cast<std::size_t>(plane)]);
             const double p_fail =
                 1.0 - std::exp(-rate * scenario.horizon_days / 365.25);
             failed[static_cast<std::size_t>(i)] = r.bernoulli(p_fail) ? 1 : 0;
@@ -451,8 +443,7 @@ failure_timeline sample_storm_timeline(const lsn_topology& topology,
             const double dt_years = (t1 - t0) / 86400.0 / 365.25;
             for (std::size_t p = 0; p < p_fail.size(); ++p) {
                 const double rate = annual_failure_rate(
-                    scenario.plane_daily_fluence[p] * multiplier,
-                    scenario.failure_options);
+                    scenario.plane_daily_fluence[p] * multiplier);
                 p_fail[p] = 1.0 - std::exp(-rate * dt_years);
             }
         },
@@ -512,13 +503,24 @@ double giant_component_fraction(const network_snapshot& snapshot,
     return static_cast<double>(largest) / n;
 }
 
+namespace {
+
+/// The time-grid checks shared by `validate(scenario_sweep_options)` and
+/// `sweep_offsets`.
+void validate_grid(double duration_s, double step_s)
+{
+    expects(std::isfinite(duration_s), "sweep duration must be finite");
+    expects(std::isfinite(step_s) && step_s > 0.0,
+            "sweep step must be finite and positive");
+    expects(duration_s / step_s <= max_sweep_offsets,
+            "sweep grid must have at most max_sweep_offsets offsets");
+}
+
+} // namespace
+
 void validate(const scenario_sweep_options& options)
 {
-    expects(std::isfinite(options.duration_s), "sweep duration must be finite");
-    expects(std::isfinite(options.step_s) && options.step_s > 0.0,
-            "sweep step must be finite and positive");
-    expects(options.duration_s / options.step_s <= max_sweep_offsets,
-            "sweep grid must have at most max_sweep_offsets offsets");
+    validate_grid(options.duration_s, options.step_s);
     expects(std::isfinite(options.min_elevation_rad) &&
                 std::abs(options.min_elevation_rad) <= 0.5 * pi,
             "minimum elevation must be finite and within [-pi/2, pi/2]");
@@ -528,11 +530,7 @@ void validate(const scenario_sweep_options& options)
 
 std::vector<double> sweep_offsets(double duration_s, double step_s)
 {
-    expects(std::isfinite(duration_s), "sweep duration must be finite");
-    expects(std::isfinite(step_s) && step_s > 0.0,
-            "sweep step must be finite and positive");
-    expects(duration_s / step_s <= max_sweep_offsets,
-            "sweep grid must have at most max_sweep_offsets offsets");
+    validate_grid(duration_s, step_s);
     // Offset i is i * step_s, not a running sum: accumulating the step
     // drifts on grids like 0.1 s and can add a spurious final offset.
     std::vector<double> offsets;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "astro/propagator.h"
-#include "lsn/failures.h"
 #include "lsn/timeline.h"
 #include "lsn/topology.h"
 #include "util/parallel.h"
@@ -111,7 +110,6 @@ struct failure_scenario {
     /// multiplies it inside the storm window).
     std::vector<double> plane_daily_fluence;
     double horizon_days = 365.25; ///< radiation_poisson: exposure window.
-    failure_model_options failure_options{}; ///< radiation/storm: rate map.
     // DETLINT-ALLOW(validate-coverage): every 64-bit seed is valid.
     std::uint64_t seed = 0;
 

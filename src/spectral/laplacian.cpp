@@ -136,10 +136,4 @@ csr_matrix build_laplacian(const lsn::lsn_topology& topology,
     return laplacian_from_adjacency(alive_adjacency(topology, failed));
 }
 
-csr_matrix build_laplacian(const lsn::network_snapshot& snapshot,
-                           std::span<const std::uint8_t> failed)
-{
-    return laplacian_from_adjacency(alive_adjacency(snapshot, failed));
-}
-
 } // namespace ssplane::spectral

@@ -7,11 +7,11 @@
 // delivered-throughput sweeps cannot see — λ₂ > 0 iff the alive graph is
 // connected, and its magnitude measures how much redundancy an attacker
 // must still defeat. `csr_matrix` is the compressed-sparse-row form the
-// Lanczos solver (`spectral/lanczos.h`) multiplies against; builders
-// assemble it from either the static ISL wiring of an `lsn_topology` or
-// the range-gated live graph of a `network_snapshot`.
+// Lanczos solver (`spectral/lanczos.h`) multiplies against. It is
+// assembled from the alive adjacency of either the static ISL wiring of an
+// `lsn_topology` or the range-gated live graph of a `network_snapshot`.
 //
-// Conventions shared by both builders:
+// Conventions shared by both adjacency sources:
 //   * only satellite-satellite edges enter the Laplacian (ground stations
 //     and their uplinks are serving infrastructure, not structure);
 //   * satellites flagged in `failed` keep their row (the matrix dimension
@@ -56,16 +56,9 @@ void validate(const csr_matrix& matrix);
 csr_matrix build_laplacian(const lsn::lsn_topology& topology,
                            std::span<const std::uint8_t> failed = {});
 
-/// Laplacian of the live (range-gated) graph of a snapshot: one row per
-/// satellite, satellite-satellite edges only. The snapshot's own mask
-/// already removed dead satellites' edges; `failed` may still be passed to
-/// isolate satellites after the fact.
-csr_matrix build_laplacian(const lsn::network_snapshot& snapshot,
-                           std::span<const std::uint8_t> failed = {});
-
 /// Sorted adjacency lists of the alive satellite-satellite subgraph —
 /// the walk structure the percolation analyzer (clustering, union-find)
-/// shares with the Laplacian builders. adjacency[s] is empty for failed
+/// shares with the Laplacian. adjacency[s] is empty for failed
 /// satellites.
 std::vector<std::vector<int>> alive_adjacency(
     const lsn::lsn_topology& topology, std::span<const std::uint8_t> failed = {});
@@ -73,8 +66,9 @@ std::vector<std::vector<int>> alive_adjacency(
     const lsn::network_snapshot& snapshot,
     std::span<const std::uint8_t> failed = {});
 
-/// Laplacian assembled from sorted adjacency lists (the two builders above
-/// funnel through this; exposed for synthetic graphs in tests).
+/// Laplacian assembled from sorted adjacency lists (`build_laplacian` and
+/// the percolation analyzer funnel through this; tests also feed it
+/// synthetic graphs).
 csr_matrix laplacian_from_adjacency(const std::vector<std::vector<int>>& adjacency);
 
 } // namespace ssplane::spectral

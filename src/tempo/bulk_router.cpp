@@ -16,6 +16,9 @@ namespace {
 constexpr double inf = std::numeric_limits<double>::infinity();
 constexpr double volume_eps_gb = 1e-9;
 constexpr double time_eps_s = 1e-6;
+/// Cap on augmenting paths per request: a runaway guard, not a tuning knob;
+/// the solver stops early once a request is routed or cut off.
+constexpr int max_paths_per_request = 1024;
 
 void validate_requests(int n_ground,
                        std::span<const bulk_transfer_request> requests)
@@ -150,7 +153,7 @@ bulk_route_result route_bulk_transfers(time_expanded_graph& graph,
         if (release_step >= graph.n_steps || deadline_step < release_step) continue;
 
         double remaining = request.volume_gb;
-        for (int path = 0; path < graph.options.max_paths_per_request &&
+        for (int path = 0; path < max_paths_per_request &&
                            remaining > volume_eps_gb;
              ++path) {
             const int arrived_tn =

@@ -14,8 +14,6 @@ void validate(const bulk_route_options& options)
     traffic::validate(options.capacity);
     expects(std::isfinite(options.sat_buffer_gb) && options.sat_buffer_gb >= 0.0,
             "satellite buffer must be finite and non-negative");
-    expects(options.max_paths_per_request >= 1,
-            "need at least one augmenting path per request");
     expects(std::isfinite(options.last_step_s) && options.last_step_s >= 0.0,
             "last step dwell must be finite and non-negative");
 }

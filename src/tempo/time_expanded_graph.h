@@ -37,16 +37,13 @@ namespace ssplane::tempo {
 
 /// Knobs of the time-expanded graph and the bulk solver on top of it.
 /// Link capacities (Gbps) are shared with the traffic engine's
-/// `capacity_options`; the buffer/path knobs are new here.
+/// `capacity_options`; the buffer and dwell knobs are new here.
 struct bulk_route_options {
     traffic::capacity_options capacity{};
     /// Onboard store-and-forward buffer per satellite [Gb]. Gates every
     /// satellite storage arc; 0 disables satellite buffering entirely
     /// (ground gateways always store for free).
     double sat_buffer_gb = 64.0;
-    /// Cap on augmenting paths per request — a runaway guard, not a tuning
-    /// knob; the solver stops early once a request is routed or cut off.
-    int max_paths_per_request = 1024;
     /// Dwell of the final step [s]; 0 infers it from the offset grid
     /// (previous step's spacing). Must be positive for single-step grids.
     double last_step_s = 0.0;

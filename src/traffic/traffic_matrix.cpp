@@ -8,6 +8,15 @@
 
 namespace ssplane::traffic {
 
+namespace {
+
+// Gravity denominator: distance^exponent, floored so near-coincident
+// gateways keep finite weight.
+constexpr double distance_exponent = 1.0;
+constexpr double min_distance_km = 500.0;
+
+} // namespace
+
 std::vector<lsn::ground_station> stations_from_cities(int n,
                                                       double min_separation_deg)
 {
@@ -23,10 +32,6 @@ void validate(const traffic_matrix_options& options)
 {
     expects(std::isfinite(options.total_demand_gbps) && options.total_demand_gbps >= 0.0,
             "total demand must be finite and non-negative");
-    expects(std::isfinite(options.distance_exponent),
-            "distance exponent must be finite");
-    expects(std::isfinite(options.min_distance_km) && options.min_distance_km > 0.0,
-            "distance floor must be finite and positive");
 }
 
 traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
@@ -65,8 +70,7 @@ traffic_matrix build_traffic_matrix(const demand::demand_model& demand,
                 1000.0;
             const double w =
                 mass[static_cast<std::size_t>(a)] * mass[static_cast<std::size_t>(b)] /
-                std::pow(std::max(distance_km, options.min_distance_km),
-                         options.distance_exponent);
+                std::pow(std::max(distance_km, min_distance_km), distance_exponent);
             cell(a, b) = w;
             cell(b, a) = w;
             weight_sum += w;

@@ -30,16 +30,11 @@ struct traffic_matrix_options {
     /// Total offered load over all unordered pairs after normalization
     /// [Gbps]. The gravity weights fix the *shape*; this fixes the scale.
     double total_demand_gbps = 1000.0;
-    /// Exponent on great-circle distance in the gravity denominator.
-    double distance_exponent = 1.0;
-    /// Distance floor [km] so near-coincident gateways keep finite weight.
-    double min_distance_km = 500.0;
 };
 
 /// Reject knobs that would silently yield a NaN or infinite matrix with a
 /// clear `contract_violation`: `total_demand_gbps` must be finite and
-/// non-negative, `distance_exponent` finite, `min_distance_km` finite and
-/// positive.
+/// non-negative.
 void validate(const traffic_matrix_options& options);
 
 /// Symmetric offered-load matrix over a gateway set [Gbps], zero diagonal.
@@ -58,7 +53,7 @@ struct traffic_matrix {
 
 /// Build the gravity matrix at absolute time `t`. Endpoint masses are
 /// `demand.demand_at(station, t)` (diurnal-aware); pair weights are
-/// mass_a * mass_b / max(distance, floor)^exponent, normalized so the
+/// mass_a * mass_b / max(distance_km, 500), normalized so the
 /// unordered-pair total equals `options.total_demand_gbps` (an all-zero
 /// mass field yields an all-zero matrix).
 traffic_matrix build_traffic_matrix(const demand::demand_model& demand,

@@ -78,10 +78,7 @@ private:
                 task = std::move(tasks_.front());
                 tasks_.pop_front();
             }
-            {
-                OBS_SPAN("pool.task");
-                task();
-            }
+            task();
         }
     }
 
@@ -161,11 +158,16 @@ void parallel_for(std::size_t n,
         // — this frame blocks on state->done until `remaining` hits zero —
         // and is only invoked, never mutated; chunk ranges are disjoint.
         pool.submit([state, &body, begin, end] {
-            try {
-                body(begin, end);
-            } catch (...) {
-                const std::lock_guard lock(state->mutex);
-                if (!state->error) state->error = std::current_exception();
+            {
+                // Closes before the decrement below, so every chunk's span
+                // is recorded by the time parallel_for returns.
+                OBS_SPAN("pool.task");
+                try {
+                    body(begin, end);
+                } catch (...) {
+                    const std::lock_guard lock(state->mutex);
+                    if (!state->error) state->error = std::current_exception();
+                }
             }
             {
                 const std::lock_guard lock(state->mutex);

@@ -53,8 +53,6 @@ TEST(GreedyCover, SatsPerPlaneFromStreetMinimum)
     const int s_min = geo::min_sats_for_street(cov.earth_central_half_angle_rad);
     ss_design_options opts;
     EXPECT_EQ(resolve_sats_per_plane(problem, opts), s_min);
-    opts.street_margin_sats = 3;
-    EXPECT_EQ(resolve_sats_per_plane(problem, opts), s_min + 3);
     opts.sats_per_plane = 40;
     EXPECT_EQ(resolve_sats_per_plane(problem, opts), 40);
 }

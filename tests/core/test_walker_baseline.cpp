@@ -143,7 +143,8 @@ TEST(WalkerBaseline, MinInclinationFloorApplies)
     walker_baseline_designer designer(opts);
     const auto result = designer.design(coarse_problem(3.0));
     for (const auto& shell : result.shells) {
-        EXPECT_GE(rad2deg(shell.parameters.inclination_rad), 40.0 - opts.inclination_bucket_deg);
+        // Within one 2° sizing bucket of the floor.
+        EXPECT_GE(rad2deg(shell.parameters.inclination_rad), 40.0 - 2.0);
     }
 }
 

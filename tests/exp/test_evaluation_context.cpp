@@ -149,12 +149,11 @@ TEST(EvaluationContext, TimelineLookupValidatesScenario)
     EXPECT_THROW(context.timeline(nan_knob), contract_violation);
     EXPECT_EQ(context.timeline_cache_size(), 1u);
 
-    // Same for NaN radiation rate-map fields, which also feed the key.
+    // Same for a NaN per-plane fluence, which also feeds the key.
     lsn::failure_scenario nan_rate;
     nan_rate.mode = lsn::failure_mode::radiation_poisson;
     nan_rate.plane_daily_fluence.assign(3, 1.0e9);
-    nan_rate.failure_options.fluence_exponent =
-        std::numeric_limits<double>::quiet_NaN();
+    nan_rate.plane_daily_fluence[1] = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(context.timeline(nan_rate), contract_violation);
 }
 

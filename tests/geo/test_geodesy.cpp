@@ -74,18 +74,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(89.0, 0.0, -89.0, 0.0),
                       std::make_tuple(23.8, 90.4, 35.7, 139.7)));
 
-TEST(Geodesy, CrossTrackAngle)
-{
-    // Equatorial great circle has the pole as its pole: the cross-track
-    // distance of a point is its |latitude|.
-    const vec3 pole{0.0, 0.0, 1.0};
-    EXPECT_NEAR(rad2deg(cross_track_angle_rad(to_unit_vector(25.0, 123.0), pole)), 25.0,
-                1e-9);
-    EXPECT_NEAR(rad2deg(cross_track_angle_rad(to_unit_vector(-40.0, 0.0), pole)), 40.0,
-                1e-9);
-    EXPECT_NEAR(cross_track_angle_rad(to_unit_vector(0.0, 77.0), pole), 0.0, 1e-12);
-}
-
 TEST(Geodesy, CapAreaFraction)
 {
     EXPECT_NEAR(cap_area_fraction(0.0), 0.0, 1e-12);

@@ -106,13 +106,6 @@ TEST(LatLonGrid, MaxOverLongitude)
     EXPECT_DOUBLE_EQ(maxes[0], 0.0);
 }
 
-TEST(LatLonGrid, AreaWeightedMeanOfConstantField)
-{
-    lat_lon_grid g(5.0);
-    for (auto& v : g.field().values()) v = 3.0;
-    EXPECT_NEAR(g.area_weighted_mean(), 3.0, 1e-9);
-}
-
 TEST(LatTodGrid, DimensionsAndRoundTrip)
 {
     lat_tod_grid g(0.5, 0.25);

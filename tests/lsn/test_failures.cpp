@@ -9,27 +9,19 @@ namespace {
 
 TEST(Failures, RateScalesWithFluence)
 {
-    failure_model_options opts;
-    const double base = annual_failure_rate(opts.reference_electron_fluence, opts);
-    EXPECT_DOUBLE_EQ(base, opts.base_annual_failure_rate);
+    const double base = annual_failure_rate(7.0e9);
+    EXPECT_DOUBLE_EQ(base, 0.03);
     // Linear exponent: doubling the fluence doubles the rate.
-    EXPECT_NEAR(annual_failure_rate(2.0 * opts.reference_electron_fluence, opts),
-                2.0 * base, 1e-12);
-    EXPECT_EQ(annual_failure_rate(0.0, opts), 0.0);
-
-    failure_model_options quadratic = opts;
-    quadratic.fluence_exponent = 2.0;
-    EXPECT_NEAR(annual_failure_rate(2.0 * opts.reference_electron_fluence, quadratic),
-                4.0 * base, 1e-12);
+    EXPECT_NEAR(annual_failure_rate(2.0 * 7.0e9), 2.0 * base, 1e-12);
+    EXPECT_EQ(annual_failure_rate(0.0), 0.0);
 }
 
 TEST(Failures, AvailabilityImprovesWithSpares)
 {
-    failure_model_options opts;
     const double rate = 0.3; // harsh environment to make the effect visible
     double prev = 0.0;
     for (int spares : {0, 2, 6}) {
-        const auto r = simulate_plane_availability(20, spares, rate, opts, 42, 128);
+        const auto r = simulate_plane_availability(20, spares, rate, 42, 128);
         EXPECT_GE(r.availability, prev - 0.005);
         EXPECT_GE(r.availability, 0.0);
         EXPECT_LE(r.availability, 1.0);
@@ -39,61 +31,54 @@ TEST(Failures, AvailabilityImprovesWithSpares)
 
 TEST(Failures, ZeroRateGivesPerfectAvailability)
 {
-    failure_model_options opts;
-    const auto r = simulate_plane_availability(10, 0, 0.0, opts, 1, 16);
+    const auto r = simulate_plane_availability(10, 0, 0.0, 1, 16);
     EXPECT_DOUBLE_EQ(r.availability, 1.0);
     EXPECT_DOUBLE_EQ(r.expected_failures_per_plane, 0.0);
 }
 
 TEST(Failures, ExpectedFailuresMatchPoisson)
 {
-    failure_model_options opts;
-    opts.mission_years = 5.0;
     const double rate = 0.1;
     const int slots = 20;
-    const auto r = simulate_plane_availability(slots, 100, rate, opts, 7, 512);
-    // Expectation: slots * rate * years = 10 failures per plane.
+    const auto r = simulate_plane_availability(slots, 100, rate, 7, 512);
+    // Expectation: slots * rate * 5-year mission = 10 failures per plane.
     EXPECT_NEAR(r.expected_failures_per_plane, 10.0, 1.0);
 }
 
 TEST(Failures, DeterministicInSeed)
 {
-    failure_model_options opts;
-    const auto a = simulate_plane_availability(12, 2, 0.2, opts, 99, 64);
-    const auto b = simulate_plane_availability(12, 2, 0.2, opts, 99, 64);
+    const auto a = simulate_plane_availability(12, 2, 0.2, 99, 64);
+    const auto b = simulate_plane_availability(12, 2, 0.2, 99, 64);
     EXPECT_DOUBLE_EQ(a.availability, b.availability);
     EXPECT_DOUBLE_EQ(a.expected_failures_per_plane, b.expected_failures_per_plane);
 }
 
 TEST(Failures, SparesForAvailabilityMeetsTarget)
 {
-    failure_model_options opts;
-    // (Each failure costs >= spare_drift_days of slot downtime, so the
+    // (Each failure costs >= the 3-day spare drift of slot downtime, so the
     // achievable ceiling at this rate is ~0.998.)
-    const auto r = spares_for_availability(20, 0.25, 0.995, opts, 5, 128);
+    const auto r = spares_for_availability(20, 0.25, 0.995, 5, 128);
     EXPECT_GE(r.availability, 0.995);
     EXPECT_GE(r.spares, 1);
     // A higher target needs at least as many spares.
-    const auto relaxed = spares_for_availability(20, 0.25, 0.98, opts, 5, 128);
+    const auto relaxed = spares_for_availability(20, 0.25, 0.98, 5, 128);
     EXPECT_LE(relaxed.spares, r.spares);
 }
 
 TEST(Failures, TargetMetFlagOnReachableTarget)
 {
-    failure_model_options opts;
-    const auto r = spares_for_availability(20, 0.25, 0.995, opts, 5, 128);
+    const auto r = spares_for_availability(20, 0.25, 0.995, 5, 128);
     EXPECT_TRUE(r.target_met);
     EXPECT_GE(r.availability, 0.995);
 }
 
 TEST(Failures, UnreachableTargetIsNotMasqueradedAsSuccess)
 {
-    failure_model_options opts;
-    // At 20 failures/slot/year every failure costs >= spare_drift_days of
+    // At 20 failures/slot/year every failure costs >= the 3-day spare drift of
     // downtime no matter how many spares are on orbit, so 0.999 cannot be
     // reached and the search must say so instead of returning the 32-spare
     // result as if it succeeded.
-    const auto r = spares_for_availability(10, 20.0, 0.999, opts, 5, 32);
+    const auto r = spares_for_availability(10, 20.0, 0.999, 5, 32);
     EXPECT_FALSE(r.target_met);
     EXPECT_EQ(r.spares, 32);
     EXPECT_LT(r.availability, 0.999);
@@ -101,26 +86,23 @@ TEST(Failures, UnreachableTargetIsNotMasqueradedAsSuccess)
 
 TEST(Failures, SimulateAloneLeavesTargetMetUnset)
 {
-    failure_model_options opts;
-    const auto r = simulate_plane_availability(10, 2, 0.1, opts, 1, 32);
+    const auto r = simulate_plane_availability(10, 2, 0.1, 1, 32);
     EXPECT_FALSE(r.target_met);
 }
 
 TEST(Failures, HigherRateNeedsMoreSpares)
 {
-    failure_model_options opts;
-    const auto low = spares_for_availability(20, 0.05, 0.999, opts, 11, 128);
-    const auto high = spares_for_availability(20, 0.5, 0.999, opts, 11, 128);
+    const auto low = spares_for_availability(20, 0.05, 0.999, 11, 128);
+    const auto high = spares_for_availability(20, 0.5, 0.999, 11, 128);
     EXPECT_LE(low.spares, high.spares);
 }
 
 TEST(Failures, Validation)
 {
-    failure_model_options opts;
-    EXPECT_THROW(simulate_plane_availability(0, 1, 0.1, opts, 1), contract_violation);
-    EXPECT_THROW(simulate_plane_availability(5, -1, 0.1, opts, 1), contract_violation);
-    EXPECT_THROW(simulate_plane_availability(5, 1, -0.1, opts, 1), contract_violation);
-    EXPECT_THROW(spares_for_availability(5, 0.1, 1.5, opts, 1), contract_violation);
+    EXPECT_THROW(simulate_plane_availability(0, 1, 0.1, 1), contract_violation);
+    EXPECT_THROW(simulate_plane_availability(5, -1, 0.1, 1), contract_violation);
+    EXPECT_THROW(simulate_plane_availability(5, 1, -0.1, 1), contract_violation);
+    EXPECT_THROW(spares_for_availability(5, 0.1, 1.5, 1), contract_violation);
 }
 
 } // namespace

@@ -153,10 +153,6 @@ TEST(TimeExpandedGraph, ValidatesOptionsAndGrid)
     EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
                  contract_violation);
     bad = opts;
-    bad.max_paths_per_request = 0;
-    EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
-                 contract_violation);
-    bad = opts;
     bad.capacity.isl_capacity_gbps = 0.0;
     EXPECT_THROW(build_time_expanded_graph_timeline(snaps, one_offset, {}, bad),
                  contract_violation);

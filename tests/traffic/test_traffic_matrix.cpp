@@ -126,26 +126,5 @@ TEST(TrafficMatrix, ValidateRejectsBadTotalDemand)
                  contract_violation);
 }
 
-TEST(TrafficMatrix, ValidateRejectsNonFiniteDistanceExponent)
-{
-    traffic_matrix_options negative;
-    negative.distance_exponent = -0.5; // any finite exponent is a valid shape
-    EXPECT_NO_THROW(validate(negative));
-    for (const double bad : {inf, -inf, std::nan("")}) {
-        traffic_matrix_options options;
-        options.distance_exponent = bad;
-        EXPECT_THROW(validate(options), contract_violation) << bad;
-    }
-}
-
-TEST(TrafficMatrix, ValidateRejectsBadDistanceFloor)
-{
-    for (const double bad : {0.0, -10.0, inf, std::nan("")}) {
-        traffic_matrix_options options;
-        options.min_distance_km = bad;
-        EXPECT_THROW(validate(options), contract_violation) << bad;
-    }
-}
-
 } // namespace
 } // namespace ssplane::traffic

@@ -138,9 +138,6 @@ TEST(TrafficSweep, RejectsDegenerateMatrixOptionsBeforeSweeping)
         return run_traffic_sweep_timeline(g.builder, g.offsets, g.positions,
                                           g.timeline({}), model, options);
     };
-    traffic_matrix_options nan_exponent;
-    nan_exponent.distance_exponent = std::nan("");
-    EXPECT_THROW(sweep_with(nan_exponent), contract_violation);
     traffic_matrix_options infinite_demand;
     infinite_demand.total_demand_gbps = std::numeric_limits<double>::infinity();
     EXPECT_THROW(sweep_with(infinite_demand), contract_violation);

@@ -144,5 +144,24 @@ TEST_F(ParallelTest, PoolJoinIsItsOwnSpanNotTheCallersSelfTime)
     EXPECT_LT(stat->self_ns * 4, stat->wall_ns);
 }
 
+TEST_F(ParallelTest, EveryChunkSpanIsRecordedBeforeReturn)
+{
+    // Each chunk task's `pool.task` span closes before the task counts
+    // itself done, so none can land after parallel_for returns.
+    obs::trace_reset();
+    obs::set_tracing_enabled(true);
+    set_thread_count(4);
+    const std::size_t n_chunks = 64;
+    parallel_for(n_chunks, [](std::size_t, std::size_t) {}, 1);
+    const auto spans = obs::trace_snapshot();
+    obs::set_tracing_enabled(false);
+    obs::trace_reset();
+
+    const auto tasks = std::count_if(spans.begin(), spans.end(), [](const auto& s) {
+        return s.name == "pool.task";
+    });
+    EXPECT_EQ(static_cast<std::size_t>(tasks), n_chunks);
+}
+
 } // namespace
 } // namespace ssplane
