@@ -45,6 +45,25 @@ TEST(Failures, ExpectedFailuresMatchPoisson)
     EXPECT_NEAR(r.expected_failures_per_plane, 10.0, 1.0);
 }
 
+TEST(Failures, DowntimePerFailureIsTheSpareDriftOrTheLaunchLead)
+{
+    // A failure with a spare on orbit costs the 3-day drift; with no spare
+    // it costs the 60-day launch lead. Failures near the end of the 5-year
+    // mission are cut short, so the mean sits just under each bound.
+    const double mission_days = 5.0 * 365.25;
+    const int slots = 20;
+    const auto mean_downtime_days = [&](const sparing_result& r) {
+        return (1.0 - r.availability) * mission_days * slots /
+               r.expected_failures_per_plane;
+    };
+    const auto spared = simulate_plane_availability(slots, 100, 0.1, 7, 256);
+    EXPECT_LE(mean_downtime_days(spared), 3.0 + 1e-9);
+    EXPECT_GE(mean_downtime_days(spared), 2.9);
+    const auto bare = simulate_plane_availability(slots, 0, 0.1, 7, 256);
+    EXPECT_LE(mean_downtime_days(bare), 60.0 + 1e-9);
+    EXPECT_GE(mean_downtime_days(bare), 57.0);
+}
+
 TEST(Failures, DeterministicInSeed)
 {
     const auto a = simulate_plane_availability(12, 2, 0.2, 99, 64);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,30 @@ TEST(TrafficMatrix, AllZeroMassesYieldZeroMatrix)
     const auto matrix = build_traffic_matrix(model, ocean, astro::instant::j2000());
     EXPECT_EQ(matrix.total_gbps, 0.0);
     EXPECT_EQ(matrix.demand(0, 1), 0.0);
+}
+
+TEST(TrafficMatrix, CoincidentGatewaysAreFlooredAtFiveHundredKm)
+{
+    // Two gateways on the same spot would divide by a zero distance; the
+    // 500 km floor keeps their weight finite. The far pair uses the plain
+    // inverse distance (exponent 1).
+    const demand::demand_model model(test_population());
+    const std::vector<lsn::ground_station> stations = {
+        {"Tokyo A", 35.68, 139.69}, {"Tokyo B", 35.68, 139.69}, {"London", 51.51, -0.13}};
+    const auto t = astro::instant::j2000();
+    const double m_tokyo = model.demand_at(35.68, 139.69, t);
+    const double m_london = model.demand_at(51.51, -0.13, t);
+    ASSERT_GT(m_tokyo, 0.0);
+    ASSERT_GT(m_london, 0.0);
+    const double far_km = geo::surface_distance_m(35.68, 139.69, 51.51, -0.13) / 1000.0;
+    ASSERT_GT(far_km, 500.0);
+
+    const auto matrix = build_traffic_matrix(model, stations, t);
+    for (const double v : matrix.demand_gbps) EXPECT_TRUE(std::isfinite(v));
+    const double expected_ratio = (m_tokyo * m_tokyo / 500.0) / (m_tokyo * m_london / far_km);
+    EXPECT_NEAR(matrix.demand(0, 1) / matrix.demand(0, 2), expected_ratio,
+                1e-12 * expected_ratio);
+    EXPECT_DOUBLE_EQ(matrix.demand(0, 2), matrix.demand(1, 2));
 }
 
 TEST(TrafficMatrix, ValidateRejectsBadTotalDemand)
